@@ -30,17 +30,20 @@ bench-json:
 	$(GO) run ./cmd/mdsbench -scale small -seed 1 -format json
 
 # Compare two committed engine-benchmark records (benchstat format). The
-# defaults pin the PR 7 context-aware engine against the PR 9 staged
-# parallel router (degree-weighted shards + drain/merge staging; the
-# workers=4 rows are where the change shows); override with
-# BENCH_OLD=/BENCH_NEW= to compare other points on the trajectory
-# (PR 1's, PR 3's, PR 4's, and PR 5's records are also committed). Note
-# each record's numcpu/gomaxprocs header before reading workers>1 rows
-# as a scaling curve — single-core records measure dispatch overhead,
+# defaults pin the staged drain/merge router's record against the
+# broadcast-native gather's (one barrier per round, no routing phase).
+# The newer record also carries rows of the engine it replaced, taken on
+# the same machine under `engine: staged-router` (compare the two within
+# the file with `benchstat -col engine <record>`), and its
+# BenchmarkBroadcastGather rows are the older records' BenchmarkRouteOnly.
+# Override with BENCH_OLD=/BENCH_NEW= to compare other points on the
+# trajectory (every BENCH_*_engine_*.txt record is committed). Note each
+# record's numcpu/gomaxprocs header before reading workers>1 rows as a
+# scaling curve — single-core records measure dispatch overhead,
 # not scaling. Uses benchstat when available (CI installs it); falls
 # back to printing both records side by side offline.
-BENCH_OLD ?= BENCH_2026-08-07_engine_pr7.txt
-BENCH_NEW ?= BENCH_2026-08-07_engine_pr9.txt
+BENCH_OLD ?= BENCH_2026-08-07_engine_pr9.txt
+BENCH_NEW ?= BENCH_2026-10-17_engine_pr13.txt
 bench-compare:
 	@if command -v benchstat >/dev/null 2>&1; then \
 		benchstat $(BENCH_OLD) $(BENCH_NEW); \

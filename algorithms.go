@@ -87,7 +87,7 @@ func WithKnownMaxDegree() Option { return congest.WithKnownMaxDegree() }
 func WithKnownArboricity(alpha int) Option { return congest.WithKnownArboricity(alpha) }
 
 // Runner is reusable simulator state: the worker pool, the run arenas, and
-// the graph-derived routing tables, amortized across runs. Create one with
+// the message slots and buffers, amortized across runs. Create one with
 // NewRunner, pass it to every run with WithRunner, and Close it when done.
 // Reuse across different graphs and different algorithms is fine; runs
 // sharing a Runner must be sequential. Results are identical with or

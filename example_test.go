@@ -26,7 +26,7 @@ func ExampleWeightedDeterministic() {
 }
 
 // ExampleNewRunner is the serving pattern: one reusable Runner carries the
-// worker pool, the run arenas, and the graph-derived routing tables across
+// worker pool, the run arenas, and the message slots and buffers across
 // many runs, so repeated requests — parameter sweeps, per-seed replicas,
 // different algorithms, even different graphs — pay the simulator's setup
 // cost once. Results are identical to transient runs.

@@ -21,8 +21,8 @@ func main() {
 
 	// This example runs the same workload six times under different
 	// models and worker counts — exactly the repeated-runs pattern a
-	// reusable Runner is for: the worker pool, run arenas, and routing
-	// tables are built once and shared by every run below.
+	// reusable Runner is for: the worker pool, run arenas, and message
+	// buffers are built once and shared by every run below.
 	r := arbods.NewRunner()
 	defer r.Close()
 

@@ -46,8 +46,8 @@ func TestAllocationCeiling(t *testing.T) {
 
 	// The ceilings are gated at every worker count, not just the
 	// sequential engine: the parallel path's warm runs must be exactly as
-	// allocation-clean (the staged drain/merge router appends into
-	// Runner-owned buckets, and phase dispatch carries no per-run method
+	// allocation-clean (each worker appends into its own Runner-owned side
+	// list and inbox buffer, and dispatch carries no per-run method
 	// values), so workers=4 is held to the same 32/15 marks as workers=1.
 	for _, workers := range []int{1, 4} {
 		r := congest.NewRunner()

@@ -10,6 +10,7 @@ import (
 	"arbods/internal/congest"
 	"arbods/internal/gen"
 	"arbods/internal/graph"
+	"arbods/internal/mds"
 )
 
 // TestMain stamps the CPU topology into every benchmark record, next to
@@ -68,13 +69,13 @@ func warmRun(b *testing.B, g *graph.Graph, slab []echoProc, rounds int, opts ...
 
 // BenchmarkRunLarge drives the engine end to end on a million-node
 // sparse random graph (avg degree ≈ 4, ≈ 2·10⁶ edges): three rounds of
-// broadcast traffic, ≈ 12·10⁶ routed messages per run. workers=1 is the
-// sequential engine; the other sub-benchmarks exercise the sharded
-// parallel routing path. Allocation counts are the headline: messages
-// are value-typed packets, routing is CSR placement into per-shard flat
-// arrays, rng streams seed in place, and procs build into one slab, so
-// allocs/op is O(1) in both the message volume and (beyond the slab and
-// the run's few backing arrays) the node count.
+// broadcast traffic, ≈ 12·10⁶ delivered messages per run. workers=1 is
+// the sequential engine; the other sub-benchmarks run the sharded
+// parallel path. Allocation counts are the headline: messages are
+// value-typed packets stored once per broadcast, each inbox is gathered
+// into a reused per-shard buffer, rng streams seed in place, and procs
+// build into one slab, so allocs/op is O(1) in both the message volume
+// and (beyond the slab and the run's few backing arrays) the node count.
 func BenchmarkRunLarge(b *testing.B) {
 	g := benchGraph(b, 1_000_000)
 	slab := make([]echoProc, g.N())
@@ -103,8 +104,8 @@ func BenchmarkRunLarge(b *testing.B) {
 }
 
 // BenchmarkRunnerReuse is BenchmarkRunLarge on one shared Runner — the
-// serving pattern: graph-derived tables, flat inbox arrays, outbox slab,
-// arena, and worker pool all amortized, so per-run setup drops to the
+// serving pattern: send slots, side lists, inbox buffers, arena, and
+// worker pool all amortized, so per-run setup drops to the
 // proc slab and the result.
 func BenchmarkRunnerReuse(b *testing.B) {
 	g := benchGraph(b, 1_000_000)
@@ -199,10 +200,13 @@ func BenchmarkSweepBatch(b *testing.B) {
 	}
 }
 
-// BenchmarkRouteOnly isolates the routing phase: one round in which
-// every node broadcasts once, so step work is negligible next to the
-// 2m ≈ 4·10⁶ message deliveries.
-func BenchmarkRouteOnly(b *testing.B) {
+// BenchmarkBroadcastGather times one broadcast and its delivery: every
+// node broadcasts once (n slot writes, O(1) accounting per sender), then
+// every node gathers its inbox (2m ≈ 4·10⁶ packet reads in CSR order)
+// and terminates. It was BenchmarkRouteOnly while the engine had a
+// routing phase to isolate; with delivery folded into the step, step work
+// here is negligible next to the gather.
+func BenchmarkBroadcastGather(b *testing.B) {
 	g := benchGraph(b, 1_000_000)
 	slab := make([]echoProc, g.N())
 	for _, w := range []int{1, 4} {
@@ -216,6 +220,34 @@ func BenchmarkRouteOnly(b *testing.B) {
 					congest.WithSeed(1), congest.WithWorkers(w), congest.WithMode(congest.Local)); err != nil {
 					b.Fatal(err)
 				}
+			}
+		})
+	}
+}
+
+// BenchmarkThm11Warm is the algorithm layer on the serving path: a
+// Theorem 1.1 solve (weighted forest union, n = 3·10⁵, k = 3, weights in
+// [1, 100], ε = 0.2) on a warm Runner with recycled results, a fresh seed
+// per iteration. Unlike the echo-proc rows above, the paper's own procs
+// do the stepping, so the (1+ε)^exp decoding and the gather both show.
+func BenchmarkThm11Warm(b *testing.B) {
+	w := gen.ForestUnion(300_000, 3, 1)
+	g := gen.UniformWeights(w.G, 100, 2)
+	for _, workers := range []int{1, 2} {
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			r := congest.NewRunner()
+			defer r.Close()
+			solve := func(seed uint64) {
+				if _, err := mds.WeightedDeterministic(g, w.ArboricityBound, 0.2, congest.WithSeed(seed),
+					congest.WithRunner(r), congest.WithWorkers(workers), congest.WithRecycledResult()); err != nil {
+					b.Fatal(err)
+				}
+			}
+			solve(0)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				solve(uint64(i + 1))
 			}
 		})
 	}

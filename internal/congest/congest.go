@@ -25,46 +25,57 @@
 // accounting, see MsgTagBits) plus a payload packed into at most two
 // uint64 words, with the CONGEST bit cost precomputed at pack time from
 // the same BitsInt/BitsUint field accounting the legacy interface-based
-// path used. Outboxes and inboxes are flat slices of these values, so
-// routing a message is a value copy — no boxing, no allocation, no
-// reflection, no dynamic size call. Each delivered Incoming additionally
-// carries the sender's position in the receiver's sorted neighbor list,
-// read from the graph's precomputed reverse-edge index
-// (graph.ReverseIndex), which replaces the O(log deg) binary search
-// receivers used to pay per message.
+// path used. Nearly every send in the library is a Broadcast, so a
+// node's sends are stored once per round, not once per edge: a kind byte
+// per node, the packet itself when the round's only send is one
+// broadcast, and a small per-shard side list for everything else
+// (unicast Sends, several broadcasts, or a mix). Each delivered Incoming
+// carries the sender's position in the receiver's sorted neighbor list;
+// the receiver builds its inbox by walking that list, so the position is
+// simply the loop index.
 //
 // # Run state
 //
-// All run-scoped state lives on a Runner: the worker pool, the sender
-// tables and their single outbox backing slab, the flat per-shard inbox
-// arrays (CSR-style: per-receiver offsets computed from each round's send
-// counts, delivery is a value copy into one backing array), the per-node
+// All run-scoped state lives on a Runner: the worker pool, the two
+// parity-alternating send-slot arrays (n kind bytes and n packets each),
+// the per-shard side lists and reusable inbox buffers, the per-node
 // random streams (embedded by value in NodeInfo and seeded in place by
 // rng.Init), and an Arena that procs carve their neighbor caches from. A
 // plain Run builds a transient Runner and discards it; serving-style
 // callers create one Runner, pass it to every run with WithRunner, and
-// amortize all of the setup — repeated runs on the same graph allocate
-// almost nothing beyond the procs themselves. Transcripts are identical
-// either way.
+// amortize all of the setup — repeated runs allocate almost nothing
+// beyond the procs themselves, and a rebind to a different graph keeps
+// every per-shard buffer. Transcripts are identical either way.
 //
 // # Parallel execution
 //
-// A round executes in barrier-separated phases on the Runner's worker
-// pool. With workers > 1 there are three: step (each worker steps its
-// node range), drain (each worker empties its own senders' outboxes into
-// worker-local staging, bucketed by receiver shard with run-length sender
-// headers), and merge (each worker assembles its own receivers' inboxes
-// from the staging buckets in sender-shard order). The merge order
-// replays every receiver's traffic in exact (sender ID, send index)
-// order, so transcripts are bit-identical at every worker count — and
-// each worker touches O(m/workers) messages per round instead of
-// scanning every outbox. Shard boundaries are cut by cumulative degree
-// (node weight deg+1, one binary search per boundary on the graph's CSR
-// offsets), so hubs don't serialize one shard; on regular graphs the cut
-// equals the node-count split. WithWorkers(1) uses the sequential
-// single-shard router with no staging copy; WithWorkers(0) picks
-// adaptively by graph size. Per-shard structs carry trailing cache-line
-// padding so adjacent shards' hot fields never false-share.
+// A round is one phase on the Runner's worker pool, followed by one
+// barrier. Each worker owns a contiguous node range and, for each of its
+// nodes in ID order, gathers the node's inbox from its neighbors'
+// previous-round slots, steps the proc, and records and accounts the
+// node's sends into the current round's slots. The slots alternate by
+// round parity, so a worker reads only what the barrier already
+// published and writes only its own nodes' entries. Every send is
+// accounted at its sender, in O(1) per broadcast: messages, bits,
+// per-tag statistics, the per-directed-edge budget, and the strict-mode
+// abort (each worker keeps the lowest violating sender in its range,
+// then that sender's lowest receiver; the barrier keeps the lowest
+// across workers). Messages to a node that has terminated are never
+// gathered, so the dropped count is messages sent minus messages
+// gathered.
+//
+// Inboxes are in (sender ID, send index) order: the gather walks the
+// receiver's CSR neighbor list, which ascends by ID, and takes each
+// sender's packets for this receiver in the order they were sent. That
+// order depends on nothing but the graph and the procs, so transcripts
+// are bit-identical at every worker count and one delivery path serves
+// all of them; it is also the order a plain sequential simulator
+// delivers in, which the pinned transcripts were recorded against. Shard boundaries are cut by cumulative degree (node weight
+// deg+1, one binary search per boundary on the graph's CSR offsets), so
+// hubs don't serialize one shard; on regular graphs the cut equals the
+// node-count split. WithWorkers(0) picks the worker count adaptively by
+// graph size. Per-shard structs carry trailing cache-line padding so
+// adjacent shards' hot fields never false-share.
 //
 // # Result lifetime
 //
@@ -107,9 +118,9 @@ import (
 )
 
 // Incoming is a received packet tagged with its sender and with the
-// sender's precomputed position in the receiver's sorted neighbor list
-// (the reverse-edge index), so procs index their neighbor caches directly
-// instead of binary-searching per message.
+// sender's position in the receiver's sorted neighbor list, so procs
+// index their neighbor caches directly instead of binary-searching per
+// message.
 type Incoming struct {
 	From int32 // sender ID
 	Idx  int32 // position of From in the receiver's Neighbors slice
@@ -225,10 +236,10 @@ func WithBandwidth(b int) Option { return optionFunc(func(c *config) { c.bandwid
 // hitting the cap means a bug.
 func WithMaxRounds(r int) Option { return optionFunc(func(c *config) { c.maxRounds = r }) }
 
-// WithWorkers sets the number of goroutines stepping and routing nodes
-// (default GOMAXPROCS; 1 selects the sequential engine). WithWorkers(0)
-// selects the adaptive heuristic: the sequential engine below a node-count
-// crossover — small runs never pay the per-round dispatch barriers — and
+// WithWorkers sets the number of goroutines stepping nodes (default
+// GOMAXPROCS; 1 steps inline on the calling goroutine). WithWorkers(0)
+// selects the adaptive heuristic: inline stepping below a node-count
+// crossover — small runs never pay the per-round dispatch barrier — and
 // GOMAXPROCS workers above it. Results are bit-identical for every worker
 // count, so the choice is purely about wall-clock time.
 func WithWorkers(w int) Option { return optionFunc(func(c *config) { c.workers = w }) }
@@ -322,7 +333,7 @@ type Result[O any] struct {
 	// Rounds is the number of rounds executed (a round with no active nodes
 	// and no in-flight messages is not counted).
 	Rounds int
-	// Messages is the total number of messages delivered.
+	// Messages is the total number of messages sent, dropped ones included.
 	Messages int64
 	// TotalBits is the total message volume in bits.
 	TotalBits int64
@@ -396,48 +407,57 @@ func (e *BandwidthError) Error() string {
 		e.Round, e.From, e.To, e.Bits, e.Budget)
 }
 
-// outPacket is one queued send: the destination, the sender's position in
-// the destination's neighbor list (from the graph's reverse-edge index),
-// and the packet itself. Outboxes are flat slices of these values; the
-// routing shards stream through them cache-linearly with no pointer
-// chasing and no per-message dynamic calls.
-type outPacket struct {
+// Send kinds: what a node sent in one round, one byte per node per round
+// parity.
+const (
+	sendNone      uint8 = iota // nothing
+	sendBroadcast              // exactly one Broadcast; the packet is in the node's slot
+	sendSide                   // anything else; the sends are in the shard's side list
+)
+
+// sideEntry is one send that does not fit the single-broadcast slot: its
+// destination (-1 for a broadcast), its index among the sender's sends
+// this round, and the packet.
+type sideEntry struct {
 	to  int32
-	idx int32
+	seq int32
 	p   Packet
 }
 
-// Sender collects a node's outgoing packets for the current round.
+// Sender collects a node's outgoing packets for the current round. Each
+// worker owns one Sender and points it at each node in turn; the sends
+// are recorded as they are made and settled into the round's slots when
+// the node's Step returns.
 type Sender struct {
 	owner     int32
 	neighbors []int32
-	revIdx    []int32 // graph.ReverseIndex(owner): owner's position in each neighbor's list
-	out       []outPacket
+	kind      uint8
+	bcast     Packet      // the round's only send, while kind == sendBroadcast
+	side      []sideEntry // the worker's side list; the owner's sends start at lo
+	lo        int
 	err       error
 }
 
 // Send sends p to neighbor `to` (delivered next round). Sending to a
 // non-neighbor or with an out-of-range tag records an error that aborts
-// the run. The neighbor check is the same binary search as before; the
-// position it finds also yields the reverse-edge index, so the receiver
-// pays nothing.
+// the run.
 func (s *Sender) Send(to int, p Packet) {
 	if s.err != nil {
 		return
 	}
-	j := s.neighborPos(to)
-	if j < 0 {
+	if s.neighborPos(to) < 0 {
 		s.err = fmt.Errorf("congest: node %d sent to non-neighbor %d", s.owner, to)
 		return
 	}
 	if err := s.validate(p); err != nil {
 		return
 	}
-	s.out = append(s.out, outPacket{to: int32(to), idx: s.revIdx[j], p: p})
+	s.push(int32(to), p)
 }
 
-// Broadcast sends p to every neighbor. The reverse-edge indices come
-// straight from the precomputed table — no searches at all.
+// Broadcast sends p to every neighbor. A round whose only send is one
+// broadcast — nearly every round of every library algorithm — stores the
+// packet once, whatever the degree.
 func (s *Sender) Broadcast(p Packet) {
 	if s.err != nil {
 		return
@@ -445,9 +465,21 @@ func (s *Sender) Broadcast(p Packet) {
 	if err := s.validate(p); err != nil {
 		return
 	}
-	for j, u := range s.neighbors {
-		s.out = append(s.out, outPacket{to: u, idx: s.revIdx[j], p: p})
+	if s.kind == sendNone {
+		s.kind, s.bcast = sendBroadcast, p
+		return
 	}
+	s.push(-1, p)
+}
+
+// push appends a send to the side list, first moving a buffered lone
+// broadcast there so the owner's sends stay in send order.
+func (s *Sender) push(to int32, p Packet) {
+	if s.kind == sendBroadcast {
+		s.side = append(s.side, sideEntry{to: -1, p: s.bcast})
+	}
+	s.kind = sendSide
+	s.side = append(s.side, sideEntry{to: to, seq: int32(len(s.side) - s.lo), p: p})
 }
 
 // validate rejects malformed packets: an out-of-range tag (would index

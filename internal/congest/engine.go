@@ -13,22 +13,15 @@ import (
 const parallelStepMin = 64
 
 // engine is the per-run, output-typed veneer over a Runner. The Runner
-// (embedded) owns everything O-independent — senders, done flags, shard
-// layout, flat inbox arrays, outbox slab, worker pool, arena — and persists
-// across runs; the engine adds the run's config, the procs, and the result.
+// (embedded) owns everything O-independent — done flags, shard layout,
+// send slots, side lists, inbox buffers, worker pool, arena — and
+// persists across runs; the engine adds the run's config, the procs, and
+// the result.
 //
-// The round loop alternates two phases with a barrier between:
-//
-//   - step: workers step disjoint node ranges (each node touches only
-//     its own proc, inbox and sender, so shards race on nothing);
-//   - route: workers own disjoint contiguous *receiver* ranges and drain
-//     every sender's outbox for their range, so every inbox is written
-//     by exactly one worker and — because senders are drained in ID
-//     order and outboxes preserve send order — ends up ordered by
-//     (sender ID, send index), exactly the sequential engine's order.
-//
-// All scratch (outbox slab, flat inbox arrays, edge-bit accounting, worker
-// goroutines) lives on the Runner and is reused across rounds and runs.
+// A round is one phase and one barrier: workers step disjoint node
+// ranges, and each node gathers its inbox from the previous round's
+// slots, steps, and settles its sends into this round's (see stepRange).
+// The barrier then merges the shards' round results in shard order.
 type engine[O any] struct {
 	*Runner
 	cfg    config
@@ -44,19 +37,10 @@ type engine[O any] struct {
 	res   *Result[O]
 }
 
-// runShard implements phaseRunner: the pool's workers call back into the
-// engine with (phase, shard) pairs, so dispatching a phase allocates
-// nothing — no per-run method values, no per-round closures.
-func (e *engine[O]) runShard(ph phase, w int) {
-	switch ph {
-	case phaseStep:
-		e.stepRange(w)
-	case phaseDrain:
-		e.drainRange(w)
-	case phaseMerge:
-		e.mergeRange(w)
-	}
-}
+// runShard implements shardRunner: the pool's workers call back into the
+// engine with a shard index, so dispatching a round allocates nothing —
+// no per-run method values, no per-round closures.
+func (e *engine[O]) runShard(w int) { e.stepRange(w) }
 
 func newEngine[O any](r *Runner, g *graph.Graph, factory Factory[O], cfg config) (*engine[O], error) {
 	if err := r.bind(g, cfg); err != nil {
@@ -131,43 +115,13 @@ func (e *engine[O]) stepPhase() {
 		e.stepRange(0)
 		return
 	}
-	e.pool.run(e, phaseStep, len(e.steps))
-}
-
-// routePhase routes the round's outboxes into the next round's inboxes.
-// Sequential runs take the single-shard direct path (two passes over the
-// outboxes, no staging copy). Parallel runs split routing at a barrier:
-// drain (workers own disjoint *sender* ranges, staging packets into
-// worker-local buckets keyed by receiver shard) and merge (workers own
-// disjoint *receiver* ranges, replaying the buckets in sender-shard order).
-// Each phase's worker touches only its own shard's memory, so total
-// routing work is O(m) split across workers — the previous single-phase
-// router had every worker scanning every outbox, O(m) *per worker*.
-// A drain-phase panic (engine fault or injected) aborts before the merge
-// reads the half-built staging.
-func (e *engine[O]) routePhase() *ProcPanicError {
-	if len(e.steps) == 1 {
-		e.routeRange(0)
-		return nil
-	}
-	e.pool.run(e, phaseDrain, len(e.drains))
-	for w := range e.drains {
-		if p := e.drains[w].pan; p != nil {
-			return p // shards checked in order: deterministic winner
-		}
-	}
-	e.pool.run(e, phaseMerge, len(e.routes))
-	return nil
+	e.pool.run(e, len(e.steps))
 }
 
 func (e *engine[O]) run() (*Result[O], error) {
-	activeCount := e.n
-	for round := 0; ; round++ {
-		if activeCount == 0 {
-			break
-		}
+	for round, active := 0, e.n; active > 0; round++ {
 		if round >= e.cfg.maxRounds {
-			return nil, fmt.Errorf("congest: exceeded max rounds (%d) with %d active nodes", e.cfg.maxRounds, activeCount)
+			return nil, fmt.Errorf("congest: exceeded max rounds (%d) with %d active nodes", e.cfg.maxRounds, active)
 		}
 		// The per-round barrier is the cancellation point: a canceled
 		// context aborts here, before the next round's step phase, so the
@@ -185,8 +139,10 @@ func (e *engine[O]) run() (*Result[O], error) {
 		e.round = round
 
 		e.stepPhase()
-		activeCount = 0
+		active = 0
+		var msgs, bits int64
 		var pan *ProcPanicError
+		var bwErr *BandwidthError
 		for w := range e.steps {
 			s := &e.steps[w]
 			// Panics take precedence over Sender errors, lowest node first:
@@ -196,75 +152,42 @@ func (e *engine[O]) run() (*Result[O], error) {
 			if s.pan != nil && (pan == nil || s.pan.Node < pan.Node) {
 				pan = s.pan
 			}
-			activeCount += s.active
+			active += s.active
+			msgs += s.msgs
+			bits += s.bits
+			if bwErr == nil {
+				// Shards cover ascending node ranges, so the first one
+				// holds the lowest violating sender.
+				bwErr = s.bwErr
+			}
 		}
 		if pan != nil {
 			return nil, pan
 		}
 		for w := range e.steps {
-			s := &e.steps[w]
-			if s.err != nil {
+			if err := e.steps[w].err; err != nil {
 				// Shards cover ascending node ranges and each records its
 				// lowest-ID error, so the first one wins deterministically.
-				return nil, s.err
+				return nil, err
 			}
+		}
+		if bwErr != nil {
+			return nil, bwErr
 		}
 
-		if p := e.routePhase(); p != nil {
-			return nil, p
-		}
-		var roundMsgs, roundBits, inflight int64
-		var rerr *BandwidthError
-		for w := range e.routes {
-			if s := &e.routes[w]; s.pan != nil {
-				return nil, s.pan // engine-internal panic while routing; shards checked in order
-			}
-		}
-		// Message/bit totals live on the drain shards when the parallel
-		// router ran and on the route shards when the sequential one did;
-		// the unused side is zero, so summing both is mode-free.
-		for w := range e.drains {
-			d := &e.drains[w]
-			roundMsgs += d.msgs
-			roundBits += d.bits
-		}
-		for w := range e.routes {
-			s := &e.routes[w]
-			roundMsgs += s.msgs
-			roundBits += s.bits
-			inflight += s.inflight
-			if s.err != nil && (rerr == nil || s.err.From < rerr.From ||
-				(s.err.From == rerr.From && s.err.To < rerr.To)) {
-				rerr = s.err
-			}
-		}
-		if rerr != nil {
-			return nil, rerr
-		}
-
-		e.res.Messages += roundMsgs
-		e.res.TotalBits += roundBits
+		e.res.Messages += msgs
+		e.res.TotalBits += bits
 		if e.cfg.roundStats {
 			e.res.RoundStats = append(e.res.RoundStats, RoundStat{
-				Round: round, Messages: roundMsgs, Bits: roundBits, ActiveNodes: activeCount,
+				Round: round, Messages: msgs, Bits: bits, ActiveNodes: active,
 			})
 		}
 		if e.cfg.roundObs != nil {
 			e.cfg.roundObs(RoundStat{
-				Round: round, Messages: roundMsgs, Bits: roundBits, ActiveNodes: activeCount,
+				Round: round, Messages: msgs, Bits: bits, ActiveNodes: active,
 			})
 		}
 		e.res.Rounds = round + 1
-
-		// Swap inbox views; the route shards alternate between two flat
-		// backing arrays by round parity, so the views just published in
-		// next stay valid while the other array is overwritten.
-		e.inbox, e.next = e.next, e.inbox
-
-		if activeCount == 0 && inflight > 0 {
-			// Messages to terminated nodes only; they were dropped above.
-			break
-		}
 	}
 	return e.finish()
 }
@@ -292,8 +215,8 @@ func (e *engine[O]) mergeTagStats(stats *[MaxTags]MessageStat) {
 				res.MessageStats = make(map[string]MessageStat, 4)
 			}
 		}
-		// One name lookup per *tag* per shard; the per-message work in
-		// the routers is two array adds.
+		// One name lookup per *tag* per shard; the per-send work is two
+		// array adds.
 		name := Tag(t).String()
 		agg := res.MessageStats[name]
 		agg.Count += st.Count
@@ -307,21 +230,19 @@ func (e *engine[O]) mergeTagStats(stats *[MaxTags]MessageStat) {
 // panics (Round = -1: the round loop is over).
 func (e *engine[O]) finish() (*Result[O], error) {
 	res := e.res
-	for w := range e.routes {
-		s := &e.routes[w]
-		res.DroppedMessages += s.dropped
+	var gathered int64
+	for w := range e.steps {
+		s := &e.steps[w]
+		gathered += s.gathered
 		res.BandwidthViolations += s.violations
 		if s.maxEdgeBits > res.MaxEdgeBits {
 			res.MaxEdgeBits = s.maxEdgeBits
 		}
 		e.mergeTagStats(&s.stats)
 	}
-	// Tag statistics are recorded where the per-packet accounting ran: on
-	// the route shards under the sequential router, on the drain shards
-	// under the parallel one. The unused side is all zeros.
-	for w := range e.drains {
-		e.mergeTagStats(&e.drains[w].stats)
-	}
+	// Every message to a node still running is gathered the next round;
+	// the rest went to nodes that had terminated.
+	res.DroppedMessages = res.Messages - gathered
 	if slab, ok := e.Runner.outSlabO.([]O); e.cfg.recycle && ok && cap(slab) >= e.n {
 		slab = slab[:cap(slab)]
 		clear(slab[e.n:]) // [0, n) is overwritten by the Output loop below

@@ -76,8 +76,8 @@ func (t Tag) String() string {
 // Packet is the wire-word message representation: a tag plus a payload
 // packed into at most two machine words, with the CONGEST bit cost fixed
 // at pack time. Packets are plain values — sending one allocates nothing,
-// boxes nothing, and routing reads Bits as a field instead of making a
-// dynamic Bits() call per delivered copy.
+// boxes nothing, and the accounting reads Bits as a field instead of
+// making a dynamic Bits() call per delivered copy.
 //
 // Bits is the encoded size in bits charged against the per-edge bandwidth
 // budget; it must equal MsgTagBits plus the BitsInt/BitsUint cost of the

@@ -3,18 +3,20 @@ package congest
 import (
 	"fmt"
 	"runtime"
+	"slices"
 
 	"arbods/internal/graph"
 )
 
 // Runner owns the run-scoped state of the simulator — the worker pool, the
-// proc Arena, the flat inbox/outbox backing arrays, and the graph-derived
-// sender tables — and reuses all of it across Run calls. A one-shot
+// proc Arena, the send slots, and the per-shard side lists and inbox
+// buffers — and reuses all of it across Run calls. A one-shot
 // congest.Run constructs and discards a transient Runner; a serving-style
 // caller that executes many runs (cmd/mdsbench, parameter sweeps, repeated
 // requests on the same graph) creates one Runner, passes it to each run
-// with WithRunner, and amortizes the whole setup: on a rebind to the same
-// graph nothing graph-sized is allocated at all.
+// with WithRunner, and amortizes the whole setup: a rebind allocates
+// nothing graph-sized unless the node count grows, and the per-shard
+// buffers stay warm even across different graphs.
 //
 // A Runner may be reused across different graphs (graph-derived state is
 // rebuilt on the first run after the graph changes) and across different
@@ -31,16 +33,12 @@ type Runner struct {
 	pool     *pool
 	poolSize int
 
-	senders []Sender
-	outSlab []outPacket // one backing array; sender v owns deg(v)+1 slots
-	done    []bool
-	inbox   [][]Incoming // per-node views into the route shards' flat arrays
-	next    [][]Incoming
-	bounds  []int32 // degree-weighted shard boundaries, len workers+1
-	steps   []stepShard
-	routes  []routeShard
-	drains  []senderShard // drain-phase shards + staging; nil when workers == 1
-	arena   Arena
+	done   []bool
+	kinds  [2][]uint8  // per round parity: what each node sent (sendNone, …)
+	slots  [2][]Packet // per round parity: the lone broadcast, or a side-list span
+	bounds []int32     // degree-weighted shard boundaries, len workers+1
+	steps  []stepShard
+	arena  Arena
 
 	// Output-typed slabs, cached through any-boxes because the Runner
 	// itself is not generic: procSlab holds the engine's []Proc[O] (always
@@ -98,59 +96,29 @@ func (r *Runner) Close() {
 // state. See Runner for the reuse and concurrency contract.
 func WithRunner(r *Runner) Option { return optionFunc(func(c *config) { c.runner = r }) }
 
-// bind points the Runner at (g, cfg) for one run: graph-derived state is
-// rebuilt only when the graph changed, the shard layout only when the node
-// or worker count changed, and everything else is reset in place.
+// bind points the Runner at (g, cfg) for one run: the shard layout is
+// rebuilt only when the graph or the worker count changed, and everything
+// else is reset in place.
 func (r *Runner) bind(g *graph.Graph, cfg config) error {
 	if r.running {
 		return fmt.Errorf("congest: Runner is already mid-run (Runners are not goroutine-safe)")
 	}
 	r.running = true
 	n := g.N()
-
 	if r.g != g {
 		r.g = g
 		r.n = n
-		if cap(r.senders) >= n {
-			r.senders = r.senders[:n]
-		} else {
-			r.senders = make([]Sender, n)
+		r.workers = 0 // shard boundaries follow the degrees: rebuild below
+	}
+	r.done = resized(r.done, n)
+	for p := range r.kinds {
+		r.kinds[p] = resized(r.kinds[p], n)
+		// A slot is read only when the kind byte the same round wrote says
+		// it holds something, so slots need no clearing.
+		if cap(r.slots[p]) < n {
+			r.slots[p] = make([]Packet, n)
 		}
-		// One outbox backing array for all nodes: node v owns deg(v)+1
-		// slots — degree covers a full broadcast, the +1 the occasional
-		// extra targeted send (a node that outgrows its slot falls back to
-		// ordinary append growth and keeps the grown slice).
-		slots := g.DegreeSum() + n
-		if cap(r.outSlab) < slots {
-			r.outSlab = make([]outPacket, slots)
-		}
-		base := 0
-		for v := 0; v < n; v++ {
-			nbr := g.Neighbors(v)
-			end := base + len(nbr) + 1
-			r.senders[v] = Sender{
-				owner:     int32(v),
-				neighbors: nbr,
-				revIdx:    g.ReverseIndex(v),
-				out:       r.outSlab[base:base:end],
-			}
-			base = end
-		}
-		r.done = resized(r.done, n)
-		r.inbox = resized(r.inbox, n)
-		r.next = resized(r.next, n)
-		r.workers = 0 // force a shard-layout rebuild below
-	} else {
-		for v := range r.senders {
-			s := &r.senders[v]
-			s.err = nil
-			s.out = s.out[:0]
-		}
-		clear(r.done)
-		// Stale views would alias flat arrays about to be overwritten; the
-		// round-0 step must see empty inboxes.
-		clear(r.inbox)
-		clear(r.next)
+		r.slots[p] = r.slots[p][:n]
 	}
 
 	workers := cfg.workers
@@ -173,48 +141,19 @@ func (r *Runner) bind(g *graph.Graph, cfg config) error {
 		r.workers = workers
 		// Boundaries are cut by cumulative degree (one binary search on the
 		// CSR offsets per boundary), so skewed-degree graphs don't serialize
-		// on the shard that holds the hubs; see shardBounds.
+		// on the shard that holds the hubs; see shardBounds. The shards
+		// themselves are kept, so their side lists and inbox buffers stay
+		// warm across graphs.
 		r.bounds = shardBounds(g, workers)
-		r.steps = make([]stepShard, workers)
-		r.routes = make([]routeShard, workers)
-		r.drains = nil
-		if workers > 1 {
-			r.drains = make([]senderShard, workers)
-		}
-		for w := 0; w < workers; w++ {
-			lo, hi := int(r.bounds[w]), int(r.bounds[w+1])
-			r.steps[w] = stepShard{lo: lo, hi: hi}
-			rs := &r.routes[w]
-			rs.lo, rs.hi = lo, hi
-			rs.edgeBits = make([]int64, hi-lo)
-			rs.stamp = make([]uint64, hi-lo)
-			rs.touched = make([]int32, hi-lo)
-			rs.cnt = make([]int32, hi-lo)
-			rs.off = make([]int32, hi-lo+1)
-			rs.senderGen = 1 // stamp's zero value must mean "never touched"
-			if workers > 1 {
-				d := &r.drains[w]
-				d.lo, d.hi = lo, hi
-				// CSR staging bookkeeping (one int32 array per role, sized by
-				// the worker count, not the graph); the entry/run slabs grow
-				// on the first busy round and stay warm afterwards.
-				d.cntE = make([]int32, workers)
-				d.cntR = make([]int32, workers)
-				d.offE = make([]int32, workers+1)
-				d.offR = make([]int32, workers+1)
-				d.last = make([]int32, workers)
-			}
+		r.steps = slices.Grow(r.steps[:0], workers)[:workers]
+		for w := range r.steps {
+			r.steps[w].lo, r.steps[w].hi = int(r.bounds[w]), int(r.bounds[w+1])
 		}
 	}
-	for w := range r.routes {
-		rs := &r.routes[w]
-		rs.dropped, rs.violations, rs.maxEdgeBits = 0, 0, 0
-		rs.stats = [MaxTags]MessageStat{}
-		// senderGen stays monotonic across runs, so the stamp scratch needs
-		// no clearing — entries from previous runs can never match.
-	}
-	for w := range r.drains {
-		r.drains[w].stats = [MaxTags]MessageStat{}
+	for w := range r.steps {
+		s := &r.steps[w]
+		s.gathered, s.violations, s.maxEdgeBits = 0, 0, 0
+		s.stats = [MaxTags]MessageStat{}
 	}
 
 	if workers > 1 && (r.pool == nil || r.poolSize < workers) {

@@ -147,9 +147,7 @@ func TestShardBoundsRegularDegradesToNodeCount(t *testing.T) {
 // slices, at any backing-array alignment.
 func TestShardPadding(t *testing.T) {
 	sizes := map[string]uintptr{
-		"stepShard":   unsafe.Sizeof(stepShard{}),
-		"routeShard":  unsafe.Sizeof(routeShard{}),
-		"senderShard": unsafe.Sizeof(senderShard{}),
+		"stepShard": unsafe.Sizeof(stepShard{}),
 	}
 	for name, size := range sizes {
 		if size%64 != 0 {
@@ -194,8 +192,7 @@ func runFlood(t *testing.T, g *graph.Graph, bits uint32, opts ...Option) (*Resul
 }
 
 // TestBandwidthErrorWorkerInvariance pins the strict-mode abort across
-// engine layouts: the sequential router, the staged parallel router, and
-// every worker count must report the identical *BandwidthError (the
+// engine layouts: every worker count must report the identical *BandwidthError (the
 // lowest violating sender, then its lowest receiver).
 func TestBandwidthErrorWorkerInvariance(t *testing.T) {
 	for name, g := range map[string]*graph.Graph{

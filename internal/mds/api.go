@@ -323,7 +323,7 @@ func run(g *graph.Graph, params detParams, alpha int, opts []congest.Option) (*c
 	slab := make([]proc, g.N())
 	factory := func(ni congest.NodeInfo) congest.Proc[Output] {
 		pr := &slab[ni.ID]
-		pr.init(params, ni)
+		pr.init(params, ni, slab[0].pow)
 		return pr
 	}
 	return congest.Run(g, factory, all...)

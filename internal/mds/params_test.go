@@ -102,3 +102,18 @@ func TestValidation(t *testing.T) {
 		t.Fatal("α=0 accepted")
 	}
 }
+
+// TestPowTableBitIdentical: the per-run (1+ε)^e table returns exactly
+// what math.Pow returns, inside the table and past its end, so packing
+// values decode to the same bits as the per-message math.Pow did.
+func TestPowTableBitIdentical(t *testing.T) {
+	for _, eps := range []float64{0.01, 0.2, 0.25, 1.0 / 12} {
+		tab := newPowTable(nil, eps, 40)
+		for e := int32(0); e < 80; e++ {
+			want := math.Pow(1+eps, float64(e))
+			if got := tab.at(eps, e); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("ε=%g e=%d: table gives %v, math.Pow %v", eps, e, got, want)
+			}
+		}
+	}
+}

@@ -104,6 +104,8 @@ type proc struct {
 	nbrW   []int64
 	nbrDom []bool
 
+	pow powTable // (1+ε)^e, shared by every proc of the run
+
 	tau    int64
 	argmin int
 
@@ -136,8 +138,9 @@ type proc struct {
 var _ congest.Proc[Output] = (*proc)(nil)
 
 // init constructs the proc in place (pr is a slab entry the run's factory
-// owns), carving the neighbor caches from the run's arena.
-func (pr *proc) init(p detParams, ni congest.NodeInfo) {
+// owns), carving the neighbor caches from the run's arena. pow is the
+// run's (1+ε)^e table when an earlier proc built it, else nil.
+func (pr *proc) init(p detParams, ni congest.NodeInfo, pow powTable) {
 	deg := ni.Degree()
 	*pr = proc{
 		p:     p,
@@ -160,6 +163,36 @@ func (pr *proc) init(p detParams, ni congest.NodeInfo) {
 	default:
 		pr.r = partialIterations(p.eps, p.lambda, pr.delta)
 	}
+	// Packing exponents never exceed the iteration count r.
+	if pow == nil {
+		pow = newPowTable(ni.Arena, p.eps, pr.r+1)
+	}
+	pr.pow = pow
+}
+
+// powTable holds (1+ε)^e for e in [0, len). It is built once per run with
+// the same math.Pow calls the packing decoders used to make per message,
+// so every value is bit-identical; an exponent past the end falls back
+// to math.Pow. Factories hand every proc node 0's table from their fresh
+// proc slab, and the engine constructs procs in ID order, so node 0
+// builds the run's one table, carved from its arena, and every later
+// proc shares it: the run allocates nothing for it.
+type powTable []float64
+
+func newPowTable(a *congest.Arena, eps float64, size int) powTable {
+	t := powTable(a.Float64s(size))
+	for e := range t {
+		t[e] = math.Pow(1+eps, float64(e))
+	}
+	return t
+}
+
+// at returns (1+ε)^e.
+func (t powTable) at(eps float64, e int32) float64 {
+	if e >= 0 && int(e) < len(t) {
+		return t[e]
+	}
+	return math.Pow(1+eps, float64(e))
 }
 
 // partialIterations returns the Lemma 4.1 iteration count r: the integer
@@ -202,7 +235,7 @@ func extensionPhases(gamma, lambda float64) int {
 
 // xValue reconstructs τ·(1+ε)^exp/(Δ+1) from a packing message.
 func (pr *proc) xValue(tau int64, exp int32) float64 {
-	return float64(tau) * math.Pow(1+pr.p.eps, float64(exp)) / float64(pr.delta+1)
+	return float64(tau) * pr.pow.at(pr.p.eps, exp) / float64(pr.delta+1)
 }
 
 // absorb processes an inbox, updating neighbor caches. It reports whether

@@ -89,7 +89,7 @@ func UnknownAlpha(g *graph.Graph, eps float64, opts ...congest.Option) (*Report,
 		p.eps = eps
 		p.orient.Init(ni, sched, eps)
 		// λ is learned from the orientation phase (stage 2 fills it in).
-		p.ud.init(ni, eps, 0, ni.N+1)
+		p.ud.init(ni, eps, 0, ni.N+1, slab[0].ud.pow)
 		return p
 	}
 	res, err := congest.Run(g, factory, opts...)

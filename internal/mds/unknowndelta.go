@@ -1,8 +1,6 @@
 package mds
 
 import (
-	"math"
-
 	"arbods/internal/congest"
 	"arbods/internal/graph"
 )
@@ -38,6 +36,8 @@ type udProc struct {
 	nbrW   []int64
 	nbrDom []bool
 
+	pow powTable // (1+ε)^e, shared by every proc of the run
+
 	tau    int64
 	argmin int
 	norm   int // max_{u∈N+(v)} |N+(u)|
@@ -57,8 +57,9 @@ var _ congest.Proc[Output] = (*udProc)(nil)
 // init constructs the proc in place, carving the neighbor caches from the
 // run's arena. fixedNorm > 0 selects the Remark 4.5 τ_v/(n+1) packing
 // normalizer; lambda may be filled in later (the unknown-α variant learns
-// it from the orientation phase).
-func (p *udProc) init(ni congest.NodeInfo, eps, lambda float64, fixedNorm int) {
+// it from the orientation phase). pow is the run's (1+ε)^e table when an
+// earlier proc built it, else nil.
+func (p *udProc) init(ni congest.NodeInfo, eps, lambda float64, fixedNorm int, pow powTable) {
 	deg := ni.Degree()
 	*p = udProc{
 		ni:        ni,
@@ -69,6 +70,12 @@ func (p *udProc) init(ni congest.NodeInfo, eps, lambda float64, fixedNorm int) {
 		nbrW:      ni.Arena.Int64s(deg),
 		nbrDom:    ni.Arena.Bools(deg),
 	}
+	if pow == nil {
+		// A node stops raising once (1+ε)^exp exceeds λ·norm ≤ n+1, which
+		// the Lemma 4.1 iteration count for λ(Δ+1) = n+1 bounds.
+		pow = newPowTable(ni.Arena, eps, partialIterations(eps, 1, ni.N)+2)
+	}
+	p.pow = pow
 }
 
 func (p *udProc) absorb(in []congest.Incoming) {
@@ -83,7 +90,7 @@ func (p *udProc) absorb(in []congest.Incoming) {
 			}
 		case congest.TagPacking:
 			tau, exp, norm := packingFields(m.P)
-			p.nbrX[i] = float64(tau) * math.Pow(1+p.eps, float64(exp)) / float64(norm)
+			p.nbrX[i] = float64(tau) * p.pow.at(p.eps, exp) / float64(norm)
 		case congest.TagJoin:
 			p.nbrDom[i] = true
 			p.dom = true
@@ -213,7 +220,7 @@ func UnknownDelta(g *graph.Graph, alpha int, eps float64, opts ...congest.Option
 	slab := make([]udProc, g.N())
 	factory := func(ni congest.NodeInfo) congest.Proc[Output] {
 		p := &slab[ni.ID]
-		p.init(ni, eps, lambda, 0)
+		p.init(ni, eps, lambda, 0, slab[0].pow)
 		return p
 	}
 	all := make([]congest.Option, 0, len(opts)+1)

@@ -19,7 +19,7 @@ import (
 type NodeInfo = congest.NodeInfo
 
 // Incoming is one received packet, tagged with its sender and the
-// sender's precomputed position in the receiver's neighbor list.
+// sender's position in the receiver's neighbor list.
 type Incoming = congest.Incoming
 
 // Sender collects a node's outgoing packets for the current round (Send,
