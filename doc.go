@@ -142,7 +142,7 @@
 // solve cache keyed by exactly that tuple. Solves run under the request
 // context (a per-solve deadline or a client disconnect aborts the run at
 // its next round barrier and frees the Runner), concurrent cold requests
-// for the same graph share one build via singleflight, and /v1/metrics
+// for the same graph share one load of the graph cache, and /v1/metrics
 // exposes latency histograms for the build, queue, solve, and total
 // phases. BuildReceipt is the same verification the CLI's -receipt flag
 // and the benchmark harness use; Certify is its error-only form. See the
@@ -173,8 +173,8 @@
 // (internal/faultinject) into a run for chaos testing: seeded, named
 // failpoints fire a panic, an error, or a delay at an exact round, so
 // the failure paths above are pinned by ordinary reproducible tests
-// (`make chaos-race`) rather than by races. A nil registry is the
-// production state and costs one comparison per seam.
+// (run under the race detector in CI) rather than by races. A nil
+// registry is the production state and costs one comparison per seam.
 //
 // # Resilient client
 //

@@ -14,7 +14,7 @@
 //	congest.step      fired once per round by the engine's step phase
 //	                  (shard 0, so on a worker goroutine when parallel);
 //	                  round-aware
-//	server.build      fired by the solve path's singleflight leader just
+//	server.build      fired by the solve path's graph-load leader just
 //	                  before a cold graph build
 //	server.admit      fired by the solve path just before admission
 //	persist.writeBlob fired before a snapshot blob is renamed into place

@@ -107,6 +107,11 @@ func validateEps(eps float64) error {
 	if !(eps > 0 && eps < 1) {
 		return fmt.Errorf("mds: ε must be in (0,1), got %g", eps)
 	}
+	// With 1+ε == 1 in floating point the packing never grows, and the
+	// Lemma 4.1 iteration count is unbounded.
+	if 1+eps == 1 {
+		return fmt.Errorf("mds: ε=%g vanishes against 1 in float64", eps)
+	}
 	return nil
 }
 

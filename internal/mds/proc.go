@@ -179,8 +179,14 @@ func (pr *proc) init(p detParams, ni congest.NodeInfo, pow powTable) {
 // proc shares it: the run allocates nothing for it.
 type powTable []float64
 
+// maxPowTable caps the table. The exponents a run needs grow like
+// log(λ(Δ+1))/ε, so a tiny ε would otherwise allocate and fill an
+// unbounded table before the first round, where no deadline can stop it;
+// 4096 entries cover ε ≥ 0.0034 at Δ = 10⁶.
+const maxPowTable = 1 << 12
+
 func newPowTable(a *congest.Arena, eps float64, size int) powTable {
-	t := powTable(a.Float64s(size))
+	t := powTable(a.Float64s(min(size, maxPowTable)))
 	for e := range t {
 		t[e] = math.Pow(1+eps, float64(e))
 	}
@@ -203,11 +209,15 @@ func partialIterations(eps, lambda float64, delta int) int {
 	if target < 1 {
 		return 0
 	}
-	r := int(math.Floor(math.Log(target)/math.Log1p(eps))) + 1
-	for r > 1 && math.Pow(1+eps, float64(r-1)) > target {
+	// The estimate is taken in the base math.Pow sees, the rounded 1+ε, so
+	// the corrections below take a step or two. Their bound keeps them
+	// finite for ε near the float64 epsilon, where one step of an exponent
+	// in the quadrillions is lost in math.Pow's rounding.
+	r := int(math.Floor(math.Log(target)/math.Log(1+eps))) + 1
+	for i := 0; i < 64 && r > 1 && math.Pow(1+eps, float64(r-1)) > target; i++ {
 		r--
 	}
-	for math.Pow(1+eps, float64(r)) <= target {
+	for i := 0; i < 64 && math.Pow(1+eps, float64(r)) <= target; i++ {
 		r++
 	}
 	return r

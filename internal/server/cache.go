@@ -2,7 +2,6 @@ package server
 
 import (
 	"bytes"
-	"container/list"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
@@ -10,71 +9,38 @@ import (
 	"path/filepath"
 	"regexp"
 	"strings"
-	"sync"
+	"sync/atomic"
 
 	"arbods"
-	"arbods/internal/gen"
 )
 
 // graphEntry is one built graph resident in the cache: the CSR itself plus
 // the metadata a solve needs (the arboricity bound the construction
 // certifies, or the degeneracy fallback computed once at build time).
+// Every field but hits is immutable once the entry is built, so entries
+// are shared across requests without copying.
 type graphEntry struct {
 	id    string // "sha256:<hex>" over the canonical encoding
 	name  string // corpus or spec reference that produced it ("" for uploads)
 	g     *arbods.Graph
 	bound int // generator-certified α (0 = none)
 	degen int // degeneracy, the certified α fallback (computed at insert)
-	hits  int64
-
-	elem *list.Element // position in the LRU list
+	hits  atomic.Int64
 }
 
-// entryView is an immutable snapshot of a cache entry, safe to read after
-// the cache mutex is released (hits and name on the live entry keep
-// moving under concurrent requests).
-type entryView struct {
-	id    string
-	name  string
-	g     *arbods.Graph
-	bound int
-	degen int
-	hits  int64
-}
-
-// view snapshots the entry; callers must hold the cache mutex.
-func (e *graphEntry) view() entryView {
-	return entryView{id: e.id, name: e.name, g: e.g, bound: e.bound, degen: e.degen, hits: e.hits}
-}
-
-// graphCache is the content-addressed store of built graph.Graph CSRs.
-// Keys are sha256 hashes of the canonical text encoding, so the same
+// newGraphCache returns the content-addressed store of built graph.Graph
+// CSRs. Keys are sha256 hashes of the canonical text encoding, so the same
 // graph uploaded twice — or reached once by upload and once by generator
 // spec — builds exactly once; repeat solve requests skip the build
 // entirely (the ~255ms that dominates a cold million-node request).
-// Secondary keys map corpus names and generator specs to their hash, so
-// by-name requests hit without re-reading or re-generating. Eviction is
-// LRU at a fixed entry capacity.
-type graphCache struct {
-	mu     sync.Mutex
-	cap    int
-	byID   map[string]*graphEntry
-	byName map[string]string // "corpus:x" / "spec:y" → id
-	lru    *list.List        // front = most recently used; values are *graphEntry
-	hits   int64
-	misses int64
-}
-
-func newGraphCache(capacity int) *graphCache {
+// "corpus:…" and "spec:…" references alias the hash they built, so by-name
+// requests hit without re-reading or re-generating. Eviction is LRU at a
+// fixed entry capacity.
+func newGraphCache(capacity int) *lru[string, *graphEntry] {
 	if capacity <= 0 {
 		capacity = 64
 	}
-	return &graphCache{
-		cap:    capacity,
-		byID:   make(map[string]*graphEntry),
-		byName: make(map[string]string),
-		lru:    list.New(),
-	}
+	return newLRU[string, *graphEntry](capacity)
 }
 
 // hashGraph returns the content address of g: sha256 over the canonical
@@ -89,93 +55,20 @@ func hashGraph(g *arbods.Graph) (string, error) {
 	return "sha256:" + hex.EncodeToString(sum[:]), nil
 }
 
-// getID returns the entry under id, counting a solve-path hit or miss.
-func (c *graphCache) getID(id string) (entryView, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	e, ok := c.byID[id]
-	if !ok {
-		c.misses++
-		return entryView{}, false
+// install is the one way a built, uploaded or peer-fetched graph becomes
+// resident: it stores e (first writer wins — a graph already resident
+// under e.id keeps its entry), counts the work that produced e in count
+// (nil for uploads), and snapshots a newly resident graph to disk, so it
+// is durable as well as resident.
+func (s *Server) install(e *graphEntry, count *atomic.Int64) (*graphEntry, bool) {
+	if count != nil {
+		count.Add(1)
 	}
-	c.touch(e)
-	c.hits++
-	return e.view(), true
-}
-
-// getName returns the entry under a secondary name key ("corpus:…",
-// "spec:…"), counting a hit; a miss is not counted here because the
-// caller proceeds to build and insert (insert counts it).
-func (c *graphCache) getName(name string) (entryView, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	id, ok := c.byName[name]
-	if !ok {
-		return entryView{}, false
+	resident, existed := s.cache.add(e.id, e)
+	if !existed && s.persist != nil {
+		s.persist.save(resident)
 	}
-	e, ok := c.byID[id]
-	if !ok { // name outlived an evicted entry
-		delete(c.byName, name)
-		return entryView{}, false
-	}
-	c.touch(e)
-	c.hits++
-	return e.view(), true
-}
-
-// insert stores a freshly built graph, counting the build as a cache miss
-// when countMiss is set (solve path; uploads pre-populate without skewing
-// the solve-path counters). If the id is already resident the existing
-// entry wins — the build raced with another request — and the name key is
-// attached to it. Returns the resident entry and whether it already
-// existed.
-func (c *graphCache) insert(e *graphEntry, countMiss bool) (entryView, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if countMiss {
-		c.misses++
-	}
-	if old, ok := c.byID[e.id]; ok {
-		if e.name != "" {
-			c.byName[e.name] = old.id
-			if old.name == "" {
-				old.name = e.name
-			}
-		}
-		c.touch(old)
-		return old.view(), true
-	}
-	e.elem = c.lru.PushFront(e)
-	c.byID[e.id] = e
-	if e.name != "" {
-		c.byName[e.name] = e.id
-	}
-	for c.lru.Len() > c.cap {
-		back := c.lru.Back()
-		ev := back.Value.(*graphEntry)
-		c.lru.Remove(back)
-		delete(c.byID, ev.id)
-		if ev.name != "" && c.byName[ev.name] == ev.id {
-			delete(c.byName, ev.name)
-		}
-	}
-	return e.view(), false
-}
-
-func (c *graphCache) touch(e *graphEntry) {
-	e.hits++
-	c.lru.MoveToFront(e.elem)
-}
-
-// snapshot returns views of the resident entries, most recently used
-// first, and the cumulative solve-path hit/miss counters.
-func (c *graphCache) snapshot() (entries []entryView, hits, misses int64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for el := c.lru.Front(); el != nil; el = el.Next() {
-		entries = append(entries, el.Value.(*graphEntry).view())
-	}
-	return entries, c.hits, c.misses
+	return resident, existed
 }
 
 // corpusName restricts by-name corpus references to plain file names —
@@ -208,13 +101,4 @@ func loadCorpus(dir, name string) (*arbods.Graph, error) {
 	}
 	defer f.Close()
 	return arbods.DecodeGraph(f)
-}
-
-// buildSpec generates a graph from an internal/gen spec string.
-func buildSpec(spec string) (*arbods.Graph, int, error) {
-	w, err := gen.Parse(spec)
-	if err != nil {
-		return nil, 0, err
-	}
-	return w.G, w.ArboricityBound, nil
 }

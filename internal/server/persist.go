@@ -185,12 +185,33 @@ func (p *persistStore) loadBlob(row persistEntry) (*graphEntry, error) {
 	return &graphEntry{id: row.ID, name: row.Name, g: g, bound: row.Bound, degen: row.Degen}, nil
 }
 
+// reload reads back a graph this store saved, for a cache that has
+// since evicted it; safe on nil. A snapshot that no longer loads is
+// counted, logged and reported missing.
+func (p *persistStore) reload(id string) (*graphEntry, bool) {
+	if p == nil {
+		return nil, false
+	}
+	p.mu.Lock()
+	row, ok := p.index[id]
+	p.mu.Unlock()
+	if !ok {
+		return nil, false
+	}
+	e, err := p.loadBlob(row)
+	if err != nil {
+		p.errs.Add(1)
+		p.logf("event=snapshot_corrupt id=%s err=%q", id, err.Error())
+	}
+	return e, err == nil
+}
+
 // save snapshots one cache entry: blob first (skipped when already on
 // disk — blobs are content-addressed and immutable), then the index row.
 // Failures are counted and logged but never fail the request that
 // triggered the save: persistence is a durability upgrade, not a
 // serving dependency.
-func (p *persistStore) save(e entryView) {
+func (p *persistStore) save(e *graphEntry) {
 	if err := p.trySave(e); err != nil {
 		p.errs.Add(1)
 		p.logf("event=snapshot_error id=%s err=%q", e.id, err.Error())
@@ -199,7 +220,7 @@ func (p *persistStore) save(e entryView) {
 	p.saves.Add(1)
 }
 
-func (p *persistStore) trySave(e entryView) error {
+func (p *persistStore) trySave(e *graphEntry) error {
 	if err := p.faults.Fire("persist.writeBlob"); err != nil {
 		return err
 	}

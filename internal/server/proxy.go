@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"strings"
@@ -32,13 +33,21 @@ const (
 	binaryContentType = "application/x-arbods-csr"
 )
 
-// proxySolve forwards the solve to the first healthy owner and relays
-// its answer, returning false when no owner could be reached (the
-// caller then serves locally). Outcomes feed the cluster's passive
-// health view, so a dead owner stops receiving forwards after
-// FailAfter consecutive failures even between probe ticks.
-func (s *Server) proxySolve(w http.ResponseWriter, r *http.Request, raw []byte, req *SolveRequest, owners []string) bool {
-	for _, owner := range owners {
+// routeToOwner is the cluster-routing stage of a solve: a request for a
+// graph this daemon does not own goes to a healthy owner, so the owners'
+// caches stay hot and every replica of a graph answers from warm state.
+// It reports whether the request was answered. A forwarded request is
+// always executed locally (one hop, never a loop), and when every owner
+// is down the request falls through to a local solve — the verified
+// failover path.
+func (s *Server) routeToOwner(w http.ResponseWriter, r *http.Request, raw []byte, req *SolveRequest) bool {
+	if s.cluster == nil || r.Header.Get(forwardedHeader) != "" || s.cluster.Owns(req.Graph) {
+		return false
+	}
+	// Forward to the first healthy owner. Outcomes feed the cluster's
+	// passive health view, so a dead owner stops receiving forwards after
+	// FailAfter consecutive failures even between probe ticks.
+	for _, owner := range s.cluster.Owners(req.Graph) {
 		if owner == s.cluster.Self() || !s.cluster.Healthy(owner) {
 			continue
 		}
@@ -70,6 +79,8 @@ func (s *Server) proxySolve(w http.ResponseWriter, r *http.Request, raw []byte, 
 		s.logf("proxy %s -> %s status=%d", req.Graph, owner, resp.StatusCode)
 		return true
 	}
+	s.fallbacks.Add(1)
+	s.logf("event=local_fallback graph=%s", req.Graph)
 	return false
 }
 
@@ -106,7 +117,7 @@ func (s *Server) relayProxied(w http.ResponseWriter, resp *http.Response, stream
 	}
 	body, err := io.ReadAll(resp.Body)
 	if err != nil {
-		s.errorCode(w, http.StatusBadGateway, "proxy_failed", "read proxied response: %v", err)
+		s.reply(w, &failure{http.StatusBadGateway, "proxy_failed", fmt.Errorf("read proxied response: %w", err)})
 		return
 	}
 	if resp.StatusCode == http.StatusOK {
@@ -148,7 +159,7 @@ func flushingCopy(w http.ResponseWriter, src io.Reader) {
 // failures are counted and logged, never surfaced to the uploader —
 // the owners can always recover the graph later through the peer
 // snapshot-fetch path.
-func (s *Server) replicate(e entryView) {
+func (s *Server) replicate(e *graphEntry) {
 	var buf bytes.Buffer
 	for _, owner := range s.cluster.Owners(e.id) {
 		if owner == s.cluster.Self() {
@@ -206,9 +217,9 @@ func (e *httpStatusError) Error() string {
 // is down, repopulates itself from whichever replica still holds the
 // graph. The decoded graph is content-hash cross-checked before it is
 // trusted, exactly like a disk snapshot.
-func (s *Server) fetchPeerSnapshot(ctx context.Context, id string) (entryView, bool) {
+func (s *Server) fetchPeerSnapshot(ctx context.Context, id string) (*graphEntry, bool) {
 	if s.cluster == nil {
-		return entryView{}, false
+		return nil, false
 	}
 	// Owners first — they are where the graph should be — then the rest.
 	tried := make(map[string]bool)
@@ -222,15 +233,11 @@ func (s *Server) fetchPeerSnapshot(ctx context.Context, id string) (entryView, b
 		if err != nil {
 			continue
 		}
-		s.snapFetches.Add(1)
 		s.logf("event=snapshot_fetch id=%s peer=%s", id, peer)
-		resident, _ := s.cache.insert(e, false)
-		if s.persist != nil {
-			s.persist.save(resident)
-		}
+		resident, _ := s.install(e, &s.snapFetches)
 		return resident, true
 	}
-	return entryView{}, false
+	return nil, false
 }
 
 func (s *Server) tryFetchSnapshot(ctx context.Context, peer, id string) (*graphEntry, error) {

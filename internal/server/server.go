@@ -24,8 +24,14 @@
 //     are keyed by (graph, algorithm, parameters, seed) after default
 //     normalization, so a repeated request skips the engine and returns
 //     the byte-identical receipt from an LRU of past answers;
-//   - concurrent cold builds of the same graph reference coalesce through
-//     a singleflight group — one build, many waiters;
+//   - both caches are one generic LRU (lru.go) whose load path coalesces
+//     concurrent misses on one key — one build, many waiters — so graph
+//     resolution is one path with a loader per reference kind: corpus:
+//     and spec: build, sha256: reads the daemon's own snapshot back or
+//     asks a peer;
+//   - a solve moves through named stages — decode, route to owner,
+//     resolve, solve cache, admit, run, respond — each returning a typed
+//     failure that one sink counts and renders;
 //   - every solve runs under a context: the configured server deadline
 //     and the client's disconnect both cancel the engine at its next
 //     round barrier (503 + Retry-After for the deadline, 499 for the
@@ -63,7 +69,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"io"
 	"math"
 	"net/http"
@@ -136,14 +141,13 @@ type Config struct {
 type Server struct {
 	cfg     Config
 	pool    *arbods.RunnerPool
-	cache   *graphCache
-	scache  *solveCache
+	cache   *lru[string, *graphEntry]
+	scache  *lru[solveKey, solveAnswer]
 	persist *persistStore // nil when DataDir is unset
 	cluster *cluster.Set  // nil when standalone
 	gate    *graphGate
-	flight  flightGroup
 	mux     *http.ServeMux
-	admit   chan struct{}
+	queue   chan struct{} // admission: solves in flight or waiting for a Runner
 
 	draining atomic.Bool   // flipped by BeginDrain; /readyz answers 503
 	reqSeq   atomic.Uint64 // request ids for the structured failure records
@@ -154,7 +158,7 @@ type Server struct {
 	timeouts atomic.Int64 // solves lost to the deadline (503)
 	canceled atomic.Int64 // solves lost to client disconnect (499)
 	panics   atomic.Int64 // solves lost to a recovered proc panic (500)
-	builds   atomic.Int64 // graph builds executed (singleflight leaders)
+	builds   atomic.Int64 // graph builds executed (load leaders)
 
 	proxied     atomic.Int64 // solves forwarded to an owner daemon
 	fallbacks   atomic.Int64 // non-owned solves served locally (all owners down)
@@ -187,7 +191,7 @@ func New(cfg Config) (*Server, error) {
 		cluster: cfg.Cluster,
 		gate:    newGraphGate(cfg.MaxPerGraph),
 		mux:     http.NewServeMux(),
-		admit:   make(chan struct{}, cfg.MaxInflight),
+		queue:   make(chan struct{}, cfg.MaxInflight),
 	}
 	s.cluster.Start()
 	if cfg.DataDir != "" {
@@ -201,7 +205,11 @@ func New(cfg Config) (*Server, error) {
 		// graphs are served exactly as if their uploads had survived the
 		// restart.
 		for _, e := range ps.load() {
-			s.cache.insert(e, false)
+			if e.name == "" {
+				s.cache.add(e.id, e)
+			} else {
+				s.cache.add(e.id, e, e.name)
+			}
 		}
 		if loaded, _, _ := ps.counters(); loaded > 0 {
 			s.logf("event=snapshot_restore graphs=%d dir=%s", loaded, cfg.DataDir)
@@ -252,15 +260,15 @@ type GraphInfo struct {
 	New bool `json:"new,omitempty"`
 }
 
-func entryInfo(e entryView) GraphInfo {
+func entryInfo(e *graphEntry) GraphInfo {
 	return GraphInfo{
 		ID: e.id, Name: e.name, Nodes: e.g.N(), Edges: e.g.M(),
-		Alpha: e.alpha(), Hits: e.hits,
+		Alpha: e.alpha(), Hits: e.hits.Load(),
 	}
 }
 
 // alpha is the α a solve uses when the request does not pin one.
-func (e entryView) alpha() int {
+func (e *graphEntry) alpha() int {
 	if e.bound > 0 {
 		return e.bound
 	}
@@ -306,12 +314,10 @@ func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request) {
 		s.error(w, http.StatusInternalServerError, "%v", err)
 		return
 	}
-	resident, existed := s.cache.insert(e, false)
-	if s.persist != nil && !existed {
-		// Synchronous by design: once the 200 is on the wire the graph is
-		// durable — a crash right after the response cannot lose it.
-		s.persist.save(resident)
-	}
+	// install snapshots synchronously by design: once the 200 is on the
+	// wire the graph is durable — a crash right after the response cannot
+	// lose it.
+	resident, existed := s.install(e, nil)
 	// Replicate fresh direct uploads to the graph's owner daemons, so a
 	// proxied solve lands on a warm cache and the graph outlives this
 	// process. Forwarded pushes stop here — one hop, no echo.
@@ -325,7 +331,7 @@ func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleListGraphs(w http.ResponseWriter, _ *http.Request) {
-	entries, _, _ := s.cache.snapshot()
+	entries := s.cache.values()
 	infos := make([]GraphInfo, 0, len(entries))
 	for _, e := range entries {
 		infos = append(infos, entryInfo(e))
@@ -335,7 +341,7 @@ func (s *Server) handleListGraphs(w http.ResponseWriter, _ *http.Request) {
 
 func (s *Server) handleGraphMeta(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	e, ok := s.cache.getID(id)
+	e, ok := s.cache.peek(id) // a metadata read or peer fetch is not a solve-path lookup
 	if !ok {
 		s.error(w, http.StatusNotFound, "graph %s not cached", id)
 		return
@@ -371,13 +377,13 @@ func (s *Server) handleAlgorithms(w http.ResponseWriter, _ *http.Request) {
 }
 
 // Stats is the /v1/stats payload. Two cache layers report separately:
-// cacheHits/cacheMisses count graph-build lookups (was the CSR resident?),
-// solveCacheHits/solveCacheMisses count answer lookups (was this exact
-// solve already computed?). solves counts answered solves — response-cache
-// hits included — so engine runs = solves − solveCacheHits − streamed
-// cache bypasses; builds counts graph builds actually executed, which
-// singleflight keeps at one per cold reference no matter how many
-// requests race on it.
+// cacheHits/cacheMisses count the solve path's graph lookups (was the CSR
+// resident?), solveCacheHits/solveCacheMisses count answer lookups (was
+// this exact solve already computed?). solves counts answered solves —
+// response-cache hits included — so engine runs = solves − solveCacheHits
+// − streamed cache bypasses; builds counts graph builds actually
+// executed, which the graph cache's coalescing load keeps at one per cold
+// reference no matter how many requests race on it.
 type Stats struct {
 	Graphs           int   `json:"graphs"`
 	CacheHits        int64 `json:"cacheHits"`
@@ -429,8 +435,8 @@ type ClusterStats struct {
 }
 
 func (s *Server) statsNow() Stats {
-	entries, hits, misses := s.cache.snapshot()
-	shits, smisses := s.scache.counters()
+	graphs, hits, misses := s.cache.counters()
+	_, shits, smisses := s.scache.counters()
 	loaded, saves, serrs := s.persist.counters()
 	var cs *ClusterStats
 	if s.cluster != nil {
@@ -447,7 +453,7 @@ func (s *Server) statsNow() Stats {
 	}
 	return Stats{
 		Cluster:          cs,
-		Graphs:           len(entries),
+		Graphs:           graphs,
 		CacheHits:        hits,
 		CacheMisses:      misses,
 		SolveCacheHits:   shits,
@@ -465,7 +471,7 @@ func (s *Server) statsNow() Stats {
 		SnapshotErrors:   serrs,
 		PoolSize:         s.pool.Size(),
 		PoolWorkers:      s.pool.Workers(),
-		MaxInflight:      cap(s.admit),
+		MaxInflight:      cap(s.queue),
 		MaxPerGraph:      s.cfg.MaxPerGraph,
 		Draining:         s.draining.Load(),
 	}
@@ -526,7 +532,7 @@ func (s *Server) retryAfterHint() string {
 	if mean <= 0 {
 		return "1"
 	}
-	wait := time.Duration(len(s.admit)+1) * mean / time.Duration(s.pool.Size())
+	wait := time.Duration(len(s.queue)+1) * mean / time.Duration(s.pool.Size())
 	secs := int(math.Ceil(wait.Seconds()))
 	if secs < 1 {
 		secs = 1
@@ -552,8 +558,8 @@ type errorBody struct {
 const StatusClientClosedRequest = 499
 
 // defaultCode maps a status to its error code for the handlers that have
-// exactly one failure meaning per status. Handlers with a more specific
-// cause (deadline_exceeded, canceled) pass it to errorCode directly.
+// exactly one failure meaning per status. Failures with a more specific
+// cause (deadline_exceeded, hot_graph, …) carry their own code.
 func defaultCode(status int) string {
 	switch status {
 	case http.StatusBadRequest:
@@ -564,23 +570,19 @@ func defaultCode(status int) string {
 		return "too_large"
 	case http.StatusTooManyRequests:
 		return "at_capacity"
-	case http.StatusServiceUnavailable:
-		return "unavailable"
-	case StatusClientClosedRequest:
-		return "canceled"
 	default:
 		return "internal"
 	}
 }
 
 func (s *Server) error(w http.ResponseWriter, status int, format string, args ...any) {
-	s.errorCode(w, status, defaultCode(status), format, args...)
+	s.reply(w, failf(status, format, args...))
 }
 
-func (s *Server) errorCode(w http.ResponseWriter, status int, code, format string, args ...any) {
-	msg := fmt.Sprintf(format, args...)
-	s.logf("error %d %s: %s", status, code, msg)
-	s.writeJSON(w, status, errorBody{Error: msg, Code: code})
+// reply writes f as the error envelope.
+func (s *Server) reply(w http.ResponseWriter, f *failure) {
+	s.logf("error %d %s: %v", f.status, f.code, f.err)
+	s.writeJSON(w, f.status, errorBody{Error: f.err.Error(), Code: f.code})
 }
 
 func (s *Server) writeJSON(w http.ResponseWriter, status int, v any) {

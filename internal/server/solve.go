@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"arbods"
+	"arbods/internal/gen"
 )
 
 // SolveRequest asks the server to run one algorithm on one graph.
@@ -49,7 +50,7 @@ type SolveRequest struct {
 // normalize fills the request's defaulted fields in place, against the
 // resolved graph for the α default. Solve-cache keys are built from the
 // normalized form, so "eps omitted" and "eps: 0.2" are the same request.
-func (req *SolveRequest) normalize(e entryView) {
+func (req *SolveRequest) normalize(e *graphEntry) {
 	if req.Algorithm == "" {
 		req.Algorithm = "thm1.1"
 	}
@@ -70,19 +71,39 @@ func (req *SolveRequest) normalize(e entryView) {
 	}
 }
 
+// solveKey identifies one solve answer: the request after normalize has
+// filled the defaults in (so "eps omitted" and "eps: 0.2" share an entry),
+// with the graph reference replaced by its content hash and the
+// presentation fields (IncludeDS, Stream) cleared, since the cache stores
+// the full answer and the handler shapes the response. Every run-shaping
+// field participates.
+type solveKey SolveRequest
+
+// solveAnswer is one solve result: the verification receipt and the
+// dominating set, both detached from any Runner. Cached answers are shared
+// across responses and must be treated as immutable.
+type solveAnswer struct {
+	receipt *arbods.Receipt
+	ds      []int
+}
+
+// newSolveCache returns the response-level cache: solves are deterministic per
+// (graph, algorithm, parameters, seed) — randomized algorithms included,
+// since per-node streams derive from (seed, nodeID) — so a repeated
+// request can skip the engine entirely and return the byte-identical
+// receipt.
+func newSolveCache(capacity int) *lru[solveKey, solveAnswer] {
+	if capacity <= 0 {
+		capacity = 256
+	}
+	return newLRU[solveKey, solveAnswer](capacity)
+}
+
 // key builds the solve-cache key; call after normalize.
 func (req *SolveRequest) key(graphID string) solveKey {
-	return solveKey{
-		graphID:   graphID,
-		algorithm: req.Algorithm,
-		alpha:     req.Alpha,
-		eps:       req.Eps,
-		t:         req.T,
-		k:         req.K,
-		seed:      req.Seed,
-		mode:      req.Mode,
-		maxRounds: req.MaxRounds,
-	}
+	k := solveKey(*req)
+	k.Graph, k.IncludeDS, k.Stream = graphID, false, false
+	return k
 }
 
 // SolveResponse is the answer-with-proof envelope.
@@ -124,99 +145,351 @@ var algorithmCatalog = []AlgorithmInfo{
 	{Name: "kw05", Params: []string{"k"}, Description: "Kuhn–Wattenhofer fractional+rounding baseline, unweighted"},
 }
 
-// resolveGraph turns a request's graph reference into a cached entry,
-// building (and caching) it on a miss. The returned bool reports a cache
-// hit — this request skipped the build, whether because the graph was
-// resident or because a concurrent leader built it (singleflight: N
-// requests racing on the same cold reference run one build). ctx bounds
-// only the waiting; a build in progress always runs to completion so its
-// result lands in the cache. A waiter abandoned by its context returns
-// ctx.Err() with status 0.
-func (s *Server) resolveGraph(ctx context.Context, ref string) (entryView, bool, int, error) {
+// solveCall is one solve request on its way through the stages.
+type solveCall struct {
+	ctx    context.Context // the request context under the server's solve deadline
+	t0     time.Time
+	rid    uint64 // request id for the structured failure records
+	req    SolveRequest
+	mode   arbods.Option // from req.Mode; nil for the default congest mode
+	e      *graphEntry   // the resolved graph
+	hit    bool          // no build ran for this request: the graph was resident or built by another
+	stream *streamWriter // set when the run streams round progress
+}
+
+// failure is a solve that ends in an error response: the HTTP status, the
+// stable code clients switch on, and the cause. Every stage of handleSolve
+// returns one (nil on success), and fail renders it.
+type failure struct {
+	status int
+	code   string
+	err    error
+}
+
+func (f *failure) Error() string { return f.err.Error() }
+
+// failf builds a failure carrying its status's default code.
+func failf(status int, format string, args ...any) *failure {
+	return &failure{status: status, code: defaultCode(status), err: fmt.Errorf(format, args...)}
+}
+
+// runFailure classifies an error from a blocking stage or from the run.
+// Context deaths get distinct treatment: the server's deadline answers 503
+// with Retry-After (the work was sound, the budget was not — come back),
+// the client's own disconnect answers 499 for the logs, a recovered proc
+// panic answers 500 (the one failure that is the server's fault, not the
+// request's), and everything else is the usual 400 with the run error.
+func runFailure(err error, algo string) *failure {
+	var f *failure
+	var pe *arbods.ProcPanicError
+	switch {
+	case errors.As(err, &f):
+		return f
+	case errors.Is(err, context.DeadlineExceeded):
+		return &failure{http.StatusServiceUnavailable, "deadline_exceeded", fmt.Errorf("solve %s: %w", algo, err)}
+	case errors.Is(err, context.Canceled):
+		return &failure{StatusClientClosedRequest, "canceled", fmt.Errorf("solve %s: %w", algo, err)}
+	case errors.As(err, &pe):
+		return &failure{http.StatusInternalServerError, "proc_panic", fmt.Errorf("solve %s: %w", algo, err)}
+	default:
+		return &failure{http.StatusBadRequest, "run_failed", fmt.Errorf("run %s: %w", algo, err)}
+	}
+}
+
+// handleSolve runs one solve through its stages: decode → route to owner
+// → resolve → solve cache → admit → run → respond. Every blocking stage
+// observes the request context — the configured solve deadline plus the
+// client's disconnect — so an abandoned request frees its pool slot
+// within one simulated round.
+func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
+	c := &solveCall{ctx: r.Context(), t0: time.Now(), rid: s.reqSeq.Add(1)}
+	if s.cfg.SolveTimeout > 0 {
+		var cancel context.CancelFunc
+		c.ctx, cancel = context.WithTimeout(c.ctx, s.cfg.SolveTimeout)
+		defer cancel()
+	}
+	if f := s.solve(w, r, c); f != nil {
+		s.fail(w, c, f)
+	}
+}
+
+func (s *Server) solve(w http.ResponseWriter, r *http.Request, c *solveCall) *failure {
+	raw, f := c.decode(w, r)
+	if f != nil {
+		return f
+	}
+	if s.routeToOwner(w, r, raw, &c.req) {
+		return nil
+	}
+	if f := s.resolve(c); f != nil {
+		return f
+	}
+	c.req.normalize(c.e)
+	key := c.req.key(c.e.id)
+	if !c.req.Stream {
+		if a, ok := s.scache.get(key); ok {
+			s.respond(w, c, a, true)
+			return nil
+		}
+	}
+	runner, release, f := s.admit(c)
+	if f != nil {
+		return f
+	}
+	defer release()
+	a, f := s.run(w, c, runner)
+	if f != nil {
+		return f
+	}
+	if !c.req.Stream {
+		s.scache.add(key, a)
+	}
+	s.respond(w, c, a, false)
+	return nil
+}
+
+// decode reads and parses the request. It reads the body fully and
+// returns it: when the graph hashes to another daemon the raw bytes
+// forward verbatim, since re-encoding a decoded request could normalize
+// a field and change the solve.
+func (c *solveCall) decode(w http.ResponseWriter, r *http.Request) ([]byte, *failure) {
+	raw, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 1<<20))
+	if err != nil {
+		return nil, failf(http.StatusBadRequest, "read request: %v", err)
+	}
+	dec := json.NewDecoder(bytes.NewReader(raw))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&c.req); err != nil {
+		return nil, failf(http.StatusBadRequest, "decode request: %v", err)
+	}
+	if c.mode, err = modeOption(c.req.Mode); err != nil {
+		return nil, failf(http.StatusBadRequest, "%v", err)
+	}
+	return raw, nil
+}
+
+// resolve turns the request's graph reference into a resident entry. Each
+// reference kind supplies only a loader, which the graph cache calls on a
+// miss; concurrent misses on one reference share one loader call, and a
+// waiter abandoned by its context stops waiting with ctx.Err().
+func (s *Server) resolve(c *solveCall) *failure {
+	ref := c.req.Graph
+	var load func() (string, *graphEntry, error)
 	switch {
 	case ref == "":
-		return entryView{}, false, http.StatusBadRequest, fmt.Errorf("missing graph reference")
+		return failf(http.StatusBadRequest, "missing graph reference")
 	case strings.HasPrefix(ref, "sha256:"):
-		e, ok := s.cache.getID(ref)
-		if !ok {
-			// Failover rebuild: an uploaded graph this daemon never saw may
-			// still live on a peer — recover it over the ARBCSR01 wire
-			// (content-hash verified) before giving up.
-			if e, ok = s.fetchPeerSnapshot(ctx, ref); ok {
-				return e, false, 0, nil
-			}
-			return entryView{}, false, http.StatusNotFound,
-				fmt.Errorf("graph %s not cached (upload it first; uploads cannot be rebuilt)", ref)
+		load = func() (string, *graphEntry, error) {
+			// The leader's result serves every waiter, so its peer fetches
+			// outlive its own client (each is bounded by the probe timeout).
+			return s.reloadGraph(context.WithoutCancel(c.ctx), ref)
 		}
-		return e, true, 0, nil
-	case strings.HasPrefix(ref, "corpus:"):
-		return s.resolveNamed(ctx, ref, func() (*arbods.Graph, int, int, error) {
-			g, err := loadCorpus(s.cfg.CorpusDir, strings.TrimPrefix(ref, "corpus:"))
-			if err != nil {
-				return nil, 0, http.StatusNotFound, fmt.Errorf("load %s: %v", ref, err)
-			}
-			return g, 0, 0, nil
-		})
-	case strings.HasPrefix(ref, "spec:"):
-		return s.resolveNamed(ctx, ref, func() (*arbods.Graph, int, int, error) {
-			g, bound, err := buildSpec(strings.TrimPrefix(ref, "spec:"))
-			if err != nil {
-				return nil, 0, http.StatusBadRequest, fmt.Errorf("bad spec %q: %v", ref, err)
-			}
-			return g, bound, 0, nil
-		})
+	case strings.HasPrefix(ref, "corpus:"), strings.HasPrefix(ref, "spec:"):
+		load = func() (string, *graphEntry, error) { return s.buildNamed(ref) }
 	default:
-		return entryView{}, false, http.StatusBadRequest,
-			fmt.Errorf("graph reference %q must start with sha256:, corpus:, or spec:", ref)
+		return failf(http.StatusBadRequest, "graph reference %q must start with sha256:, corpus:, or spec:", ref)
 	}
-}
-
-// resolveNamed is the shared by-name path: cache lookup, then a
-// singleflighted load+build on a miss. load produces the graph plus the
-// generator-certified α bound (0 for corpus files, which certify
-// nothing) and an HTTP status for its failures.
-func (s *Server) resolveNamed(ctx context.Context, ref string, load func() (*arbods.Graph, int, int, error)) (entryView, bool, int, error) {
-	if e, ok := s.cache.getName(ref); ok {
-		return e, true, 0, nil
-	}
-	builtHere := false
-	e, status, err, _ := s.flight.do(ctx, ref, func() (entryView, int, error) {
-		// Double-check under flight leadership: a previous leader may have
-		// finished between our miss and our takeover.
-		if e, ok := s.cache.getName(ref); ok {
-			return e, 0, nil
-		}
-		if err := s.cfg.Faults.Fire("server.build"); err != nil {
-			return entryView{}, http.StatusInternalServerError, err
-		}
-		g, bound, status, err := load()
-		if err != nil {
-			return entryView{}, status, err
-		}
-		s.builds.Add(1)
-		builtHere = true
-		built, err := buildEntry(g, ref, bound)
-		if err != nil {
-			return entryView{}, http.StatusInternalServerError, err
-		}
-		e, _ := s.cache.insert(built, true)
-		if s.persist != nil {
-			// The leader snapshots for everyone: waiters and later requests
-			// find the graph durable as well as resident.
-			s.persist.save(e)
-		}
-		return e, 0, nil
-	})
+	t := time.Now()
+	e, hit, err := s.cache.load(c.ctx, ref, load)
 	if err != nil {
-		return entryView{}, false, status, err
+		return runFailure(err, c.req.Algorithm)
 	}
-	return e, !builtHere, 0, nil
+	if hit {
+		e.hits.Add(1)
+	} else {
+		s.lat.build.observe(time.Since(t))
+	}
+	c.e, c.hit = e, hit
+	return nil
 }
 
-// runAlgorithm dispatches one solve on the graph with the given options;
-// the request must be normalized.
-func runAlgorithm(req *SolveRequest, e entryView, opts []arbods.Option) (*arbods.Report, error) {
-	g := e.g
+// reloadGraph is the sha256: loader. Uploads cannot be rebuilt from the
+// reference, so a graph that is not resident is read back from this
+// daemon's own snapshot when it has one (an upload the LRU evicted), else
+// recovered from a peer, else unknown.
+func (s *Server) reloadGraph(ctx context.Context, id string) (string, *graphEntry, error) {
+	if e, ok := s.persist.reload(id); ok {
+		return id, e, nil
+	}
+	if e, ok := s.fetchPeerSnapshot(ctx, id); ok {
+		return id, e, nil
+	}
+	return "", nil, failf(http.StatusNotFound, "graph %s not cached (upload it first; uploads cannot be rebuilt)", id)
+}
+
+// buildNamed is the loader of "corpus:…" and "spec:…" references: read or
+// generate the graph, build its entry, and install it under its content
+// hash, which the reference then aliases.
+func (s *Server) buildNamed(ref string) (string, *graphEntry, error) {
+	if err := s.cfg.Faults.Fire("server.build"); err != nil {
+		return "", nil, failf(http.StatusInternalServerError, "%v", err)
+	}
+	var g *arbods.Graph
+	bound := 0 // corpus files certify no α bound
+	if name, ok := strings.CutPrefix(ref, "corpus:"); ok {
+		var err error
+		if g, err = loadCorpus(s.cfg.CorpusDir, name); err != nil {
+			return "", nil, failf(http.StatusNotFound, "load %s: %v", ref, err)
+		}
+	} else {
+		w, err := gen.Parse(strings.TrimPrefix(ref, "spec:"))
+		if err != nil {
+			return "", nil, failf(http.StatusBadRequest, "bad spec %q: %v", ref, err)
+		}
+		g, bound = w.G, w.ArboricityBound
+	}
+	e, err := buildEntry(g, ref, bound)
+	if err != nil {
+		return "", nil, failf(http.StatusInternalServerError, "%v", err)
+	}
+	e, _ = s.install(e, &s.builds)
+	return e.id, e, nil
+}
+
+// admit reserves what a run needs, in order: a slot under the graph's
+// in-flight cap (fairness: a hot graph saturates its own share of the
+// pool and nothing more), a place in the bounded admission queue (so
+// overload answers fast instead of stacking goroutines behind the pool;
+// the "server.admit" failpoint injects the overflow for chaos tests), and
+// a Runner. release returns all three.
+func (s *Server) admit(c *solveCall) (runner *arbods.Runner, release func(), f *failure) {
+	id := c.e.id
+	if !s.gate.acquire(id) {
+		return nil, nil, &failure{http.StatusTooManyRequests, "hot_graph",
+			fmt.Errorf("graph %s already has %d solves in flight (per-graph cap)", id[:14], s.cfg.MaxPerGraph)}
+	}
+	tQueue := time.Now()
+	queued := s.cfg.Faults.Fire("server.admit") == nil
+	if queued {
+		select {
+		case s.queue <- struct{}{}:
+		default:
+			queued = false
+		}
+	}
+	if !queued {
+		s.gate.release(id)
+		return nil, nil, failf(http.StatusTooManyRequests, "server at capacity (%d solves in flight or queued)", cap(s.queue))
+	}
+	runner, err := s.pool.GetContext(c.ctx)
+	if err != nil {
+		<-s.queue
+		s.gate.release(id)
+		return nil, nil, runFailure(err, c.req.Algorithm)
+	}
+	s.lat.queue.observe(time.Since(tQueue))
+	return runner, func() {
+		s.pool.Put(runner)
+		<-s.queue
+		s.gate.release(id)
+	}, nil
+}
+
+// run executes the algorithm on the checked-out Runner under the request
+// context and returns the detached answer with its receipt, streaming
+// round progress as it happens when the request asks for it.
+func (s *Server) run(w http.ResponseWriter, c *solveCall, runner *arbods.Runner) (solveAnswer, *failure) {
+	opts := []arbods.Option{
+		arbods.WithContext(c.ctx),
+		arbods.WithSeed(c.req.Seed),
+		arbods.WithRunner(runner),
+		arbods.WithWorkers(s.pool.Workers()),
+		arbods.WithRecycledResult(),
+	}
+	if c.mode != nil {
+		opts = append(opts, c.mode)
+	}
+	if s.cfg.Faults != nil {
+		opts = append(opts, arbods.WithFaultInjection(s.cfg.Faults))
+	}
+	if c.req.MaxRounds > 0 {
+		opts = append(opts, arbods.WithMaxRounds(c.req.MaxRounds))
+	}
+	if c.req.Stream {
+		c.stream = newStreamWriter(w)
+		opts = append(opts, arbods.WithRoundObserver(c.stream.round))
+	}
+	t := time.Now()
+	rep, err := runAlgorithm(&c.req, c.e.g, opts)
+	if err != nil {
+		return solveAnswer{}, runFailure(err, c.req.Algorithm)
+	}
+	s.lat.solve.observe(time.Since(t))
+	// Detach before release: the recycled Result lives on Runner-owned
+	// memory that the next checkout overwrites. The detached receipt and
+	// set are immutable, so a cached answer is exactly the bytes a rerun
+	// would produce.
+	rep = rep.Detach()
+	return solveAnswer{receipt: arbods.BuildReceipt(c.e.g, rep), ds: rep.DS}, nil
+}
+
+// respond answers a solved request, from the solve cache or from a run,
+// as JSON or as the stream's final line.
+func (s *Server) respond(w http.ResponseWriter, c *solveCall, a solveAnswer, cached bool) {
+	s.solves.Add(1)
+	resp := &SolveResponse{
+		Graph:       entryInfo(c.e),
+		CacheHit:    c.hit,
+		SolveCached: cached,
+		ServedBy:    s.cluster.Self(),
+		Seed:        c.req.Seed,
+		Receipt:     a.receipt,
+	}
+	if c.req.IncludeDS {
+		resp.DS = a.ds
+	}
+	s.lat.total.observe(time.Since(c.t0))
+	s.logf("solve %s on %s n=%d seed=%d: size=%d rounds=%d ok=%v hit=%v cached=%v",
+		c.req.Algorithm, c.e.id[:14], c.e.g.N(), c.req.Seed, a.receipt.SetSize, a.receipt.Rounds, a.receipt.OK, c.hit, cached)
+	if c.stream != nil {
+		c.stream.finish(resp)
+		return
+	}
+	s.writeJSON(w, http.StatusOK, resp)
+}
+
+// fail answers a failed solve, and is the one place its outcome is
+// counted: timeouts, cancellations, panics (with their structured log
+// record) and load sheds. The error goes out as the JSON envelope, or —
+// once a stream has committed its 200 — as the stream's last line,
+// carrying the same code.
+func (s *Server) fail(w http.ResponseWriter, c *solveCall, f *failure) {
+	switch f.code {
+	case "deadline_exceeded":
+		s.timeouts.Add(1)
+	case "canceled":
+		s.canceled.Add(1)
+	case "proc_panic":
+		// The panic was recovered on the engine's goroutines and the Runner
+		// quarantined at release (RunnerPool.Put replaces it): this request
+		// is lost, every other in-flight solve is untouched. One structured
+		// record carries everything an operator needs to find the faulty
+		// callback.
+		s.panics.Add(1)
+		var pe *arbods.ProcPanicError
+		errors.As(f.err, &pe)
+		s.logf("event=proc_panic req=%d graph=%s round=%d node=%d value=%q stack=%q",
+			c.rid, c.e.id, pe.Round, pe.Node, fmt.Sprint(pe.Value), truncStack(pe.Stack))
+	case "at_capacity":
+		s.rejected.Add(1)
+		fallthrough
+	case "hot_graph":
+		s.shed.Add(1)
+		s.lat.shed.observe(time.Since(c.t0))
+	}
+	if c.stream != nil && c.stream.started {
+		c.stream.fail(f)
+		return
+	}
+	if f.status == http.StatusTooManyRequests || f.code == "deadline_exceeded" {
+		w.Header().Set("Retry-After", s.retryAfterHint())
+	}
+	s.reply(w, f)
+}
+
+// runAlgorithm dispatches one solve on g with the given options; the
+// request must be normalized.
+func runAlgorithm(req *SolveRequest, g *arbods.Graph, opts []arbods.Option) (*arbods.Report, error) {
 	switch req.Algorithm {
 	case "thm3.1":
 		return arbods.UnweightedDeterministic(g, req.Alpha, req.Eps, opts...)
@@ -257,55 +530,6 @@ func modeOption(mode string) (arbods.Option, error) {
 	}
 }
 
-// solveFail maps a failed solve to its response. Context deaths get
-// distinct treatment: the server's deadline answers 503 with Retry-After
-// (the work was sound, the budget was not — come back), the client's own
-// disconnect answers 499 for the logs, a recovered proc panic answers 500
-// (the one failure that is the server's fault, not the request's), and
-// everything else is the usual 400 with the run error. Streamed responses
-// have already committed a 200 header, so they carry the same code on an
-// NDJSON error line instead.
-func (s *Server) solveFail(w http.ResponseWriter, stream *streamWriter, rid uint64, graphID, algo string, err error) {
-	var pe *arbods.ProcPanicError
-	switch {
-	case errors.Is(err, context.DeadlineExceeded):
-		s.timeouts.Add(1)
-		if stream != nil {
-			stream.fail(err, "deadline_exceeded")
-			return
-		}
-		w.Header().Set("Retry-After", s.retryAfterHint())
-		s.errorCode(w, http.StatusServiceUnavailable, "deadline_exceeded", "solve %s: %v", algo, err)
-	case errors.Is(err, context.Canceled):
-		s.canceled.Add(1)
-		if stream != nil {
-			stream.fail(err, "canceled")
-			return
-		}
-		s.errorCode(w, StatusClientClosedRequest, "canceled", "solve %s: %v", algo, err)
-	case errors.As(err, &pe):
-		// The panic was recovered on the engine's goroutines and the Runner
-		// is already quarantined (RunnerPool.Put replaces it after the
-		// deferred checkin) — this request is lost, every other in-flight
-		// solve is untouched. One structured record carries everything an
-		// operator needs to find the faulty callback.
-		s.panics.Add(1)
-		s.logf("event=proc_panic req=%d graph=%s round=%d node=%d value=%q stack=%q",
-			rid, graphID, pe.Round, pe.Node, fmt.Sprint(pe.Value), truncStack(pe.Stack))
-		if stream != nil {
-			stream.fail(err, "proc_panic")
-			return
-		}
-		s.errorCode(w, http.StatusInternalServerError, "proc_panic", "solve %s: %v", algo, err)
-	default:
-		if stream != nil {
-			stream.fail(err, "run_failed")
-			return
-		}
-		s.errorCode(w, http.StatusBadRequest, "run_failed", "run %s: %v", algo, err)
-	}
-}
-
 // truncStack keeps the panic record one line and bounded: the top of the
 // stack identifies the faulty frame; the rest is noise at log volume.
 func truncStack(stack []byte) string {
@@ -314,196 +538,6 @@ func truncStack(stack []byte) string {
 		return string(stack[:max]) + "…"
 	}
 	return string(stack)
-}
-
-// handleSolve is the request lifecycle of one solve: decode → resolve
-// graph (cache + singleflight) → solve-cache lookup → admission → Runner
-// checkout → run under the request context (recycled, optionally
-// streaming round progress) → detach → receipt → cache → respond. Every
-// blocking stage observes ctx — the configured solve deadline plus the
-// client's disconnect — so an abandoned request frees its pool slot
-// within one simulated round.
-func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
-	t0 := time.Now()
-	rid := s.reqSeq.Add(1)
-	ctx := r.Context()
-	if s.cfg.SolveTimeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, s.cfg.SolveTimeout)
-		defer cancel()
-	}
-
-	// Read fully before decoding: when the graph hashes to another
-	// daemon, the raw bytes forward verbatim — re-encoding a decoded
-	// request could normalize a field and change the solve.
-	raw, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 1<<20))
-	if err != nil {
-		s.error(w, http.StatusBadRequest, "read request: %v", err)
-		return
-	}
-	var req SolveRequest
-	dec := json.NewDecoder(bytes.NewReader(raw))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		s.error(w, http.StatusBadRequest, "decode request: %v", err)
-		return
-	}
-	modeOpt, err := modeOption(req.Mode)
-	if err != nil {
-		s.error(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-
-	// Cluster routing: a solve for a graph this daemon does not own goes
-	// to a healthy owner, so the owners' caches stay hot and every
-	// replica of a graph answers from warm state. A forwarded request is
-	// always executed locally (one hop, never a loop); when every owner
-	// is down the fall-through below serves locally — the verified
-	// failover path.
-	if s.cluster != nil && r.Header.Get(forwardedHeader) == "" && !s.cluster.Owns(req.Graph) {
-		if s.proxySolve(w, r, raw, &req, s.cluster.Owners(req.Graph)) {
-			return
-		}
-		s.fallbacks.Add(1)
-		s.logf("event=local_fallback graph=%s", req.Graph)
-	}
-	tBuild := time.Now()
-	e, hit, status, err := s.resolveGraph(ctx, req.Graph)
-	if err != nil {
-		if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
-			s.solveFail(w, nil, rid, req.Graph, req.Algorithm, err)
-			return
-		}
-		s.error(w, status, "%v", err)
-		return
-	}
-	if !hit {
-		s.lat.build.observe(time.Since(tBuild))
-	}
-
-	req.normalize(e)
-	key := req.key(e.id)
-	if !req.Stream {
-		if a, ok := s.scache.get(key); ok {
-			s.solves.Add(1)
-			resp := &SolveResponse{
-				Graph: entryInfo(e), CacheHit: hit, SolveCached: true,
-				ServedBy: s.cluster.Self(),
-				Seed:     req.Seed, Receipt: a.receipt,
-			}
-			if req.IncludeDS {
-				resp.DS = a.ds
-			}
-			s.lat.total.observe(time.Since(t0))
-			s.logf("solve %s on %s seed=%d: cached answer (size=%d)",
-				req.Algorithm, e.id[:14], req.Seed, a.receipt.SetSize)
-			s.writeJSON(w, http.StatusOK, resp)
-			return
-		}
-	}
-
-	// Fairness: a graph already at its in-flight cap sheds this request
-	// before it can queue, so a hot graph saturates its own share of the
-	// pool and nothing more.
-	if !s.gate.acquire(e.id) {
-		s.shed.Add(1)
-		s.lat.shed.observe(time.Since(t0))
-		w.Header().Set("Retry-After", s.retryAfterHint())
-		s.errorCode(w, http.StatusTooManyRequests, "hot_graph",
-			"graph %s already has %d solves in flight (per-graph cap)", e.id[:14], s.cfg.MaxPerGraph)
-		return
-	}
-	defer s.gate.release(e.id)
-
-	// Admission: bound queued solves so overload answers fast instead of
-	// stacking goroutines behind the RunnerPool. The "server.admit"
-	// failpoint injects the overflow deterministically for chaos tests.
-	tQueue := time.Now()
-	admitted := s.cfg.Faults.Fire("server.admit") == nil
-	if admitted {
-		select {
-		case s.admit <- struct{}{}:
-			defer func() { <-s.admit }()
-		default:
-			admitted = false
-		}
-	}
-	if !admitted {
-		s.rejected.Add(1)
-		s.shed.Add(1)
-		s.lat.shed.observe(time.Since(t0))
-		w.Header().Set("Retry-After", s.retryAfterHint())
-		s.error(w, http.StatusTooManyRequests, "server at capacity (%d solves in flight or queued)", cap(s.admit))
-		return
-	}
-
-	runner, err := s.pool.GetContext(ctx)
-	if err != nil {
-		s.solveFail(w, nil, rid, e.id, req.Algorithm, err)
-		return
-	}
-	defer s.pool.Put(runner)
-	s.lat.queue.observe(time.Since(tQueue))
-
-	var stream *streamWriter
-	opts := []arbods.Option{
-		arbods.WithContext(ctx),
-		arbods.WithSeed(req.Seed),
-		arbods.WithRunner(runner),
-		arbods.WithWorkers(s.pool.Workers()),
-		arbods.WithRecycledResult(),
-	}
-	if modeOpt != nil {
-		opts = append(opts, modeOpt)
-	}
-	if s.cfg.Faults != nil {
-		opts = append(opts, arbods.WithFaultInjection(s.cfg.Faults))
-	}
-	if req.MaxRounds > 0 {
-		opts = append(opts, arbods.WithMaxRounds(req.MaxRounds))
-	}
-	if req.Stream {
-		stream = newStreamWriter(w)
-		opts = append(opts, arbods.WithRoundObserver(stream.round))
-	}
-
-	tSolve := time.Now()
-	rep, err := runAlgorithm(&req, e, opts)
-	if err != nil {
-		s.solveFail(w, stream, rid, e.id, req.Algorithm, err)
-		return
-	}
-	s.lat.solve.observe(time.Since(tSolve))
-	// Detach before the deferred Put: the recycled Result lives on
-	// Runner-owned memory that the next checkout overwrites.
-	rep = rep.Detach()
-	s.solves.Add(1)
-
-	receipt := arbods.BuildReceipt(e.g, rep)
-	if !req.Stream {
-		// Errors never land here, and the detached receipt/DS are
-		// immutable, so the cached answer is exactly the bytes a rerun
-		// would produce.
-		s.scache.put(key, solveAnswer{receipt: receipt, ds: rep.DS})
-	}
-	resp := &SolveResponse{
-		Graph:    entryInfo(e),
-		CacheHit: hit,
-		ServedBy: s.cluster.Self(),
-		Seed:     req.Seed,
-		Receipt:  receipt,
-	}
-	if req.IncludeDS {
-		resp.DS = rep.DS
-	}
-	s.lat.total.observe(time.Since(t0))
-	s.logf("solve %s on %s n=%d seed=%d: size=%d rounds=%d ok=%v hit=%v",
-		req.Algorithm, e.id[:14], e.g.N(), req.Seed, resp.Receipt.SetSize, resp.Receipt.Rounds, resp.Receipt.OK, hit)
-	if stream != nil {
-		stream.finish(resp)
-		return
-	}
-	s.writeJSON(w, http.StatusOK, resp)
 }
 
 // streamWriter emits NDJSON round progress followed by the final result.
@@ -552,9 +586,8 @@ func (sw *streamWriter) round(rs arbods.RoundStat) {
 
 // fail emits the terminal NDJSON error line, carrying the same code an
 // unstreamed response would have in its error envelope.
-func (sw *streamWriter) fail(err error, code string) {
-	sw.start()
-	_ = sw.enc.Encode(errorBody{Error: err.Error(), Code: code})
+func (sw *streamWriter) fail(f *failure) {
+	_ = sw.enc.Encode(errorBody{Error: f.err.Error(), Code: f.code})
 }
 
 func (sw *streamWriter) finish(resp *SolveResponse) {
